@@ -1,7 +1,8 @@
 """Dev script: dataset stats at bench scale (numpy only, no Spark)."""
 import sys, time
+from pathlib import Path
 
-sys.path.insert(0, "/root/repo/src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from repro.graph.generators import CONFIGS, bipartite_edges_np, scaled

@@ -1,8 +1,8 @@
 """Dev smoke script: exercise the full pipeline on tiny graphs."""
-import os
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 import conftest  # noqa: F401  (sets PYSPARK_SUBMIT_ARGS pre-import)
 from pyspark.sql import SparkSession
 

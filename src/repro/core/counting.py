@@ -91,16 +91,14 @@ def per_vertex_butterflies(
         wedge_rows.unpersist()
         pairs.unpersist()
     if enumerate_side == "u":
-        u_counts, v_counts = end_full, cen_full
+        u_counts = end_full.withColumnRenamed("x", "u")
+        v_counts = cen_full.withColumnRenamed("c0", "v")
     else:
-        u_counts, v_counts = cen_full, end_full
-    u_counts = u_counts.withColumnRenamed("x", "u") if "x" in u_counts.columns else u_counts
-    v_counts = v_counts.withColumnRenamed("x", "v") if "x" in v_counts.columns else v_counts
-    u_counts = u_counts.withColumnRenamed("c0", "u") if "c0" in u_counts.columns else u_counts
-    v_counts = v_counts.withColumnRenamed("c0", "v") if "c0" in v_counts.columns else v_counts
+        u_counts = cen_full.withColumnRenamed("c0", "u")
+        v_counts = end_full.withColumnRenamed("x", "v")
     return ButterflyCounts(
-        u_counts=u_counts.select("u", "bcnt"),
-        v_counts=v_counts.select("v", "bcnt"),
+        u_counts=u_counts,
+        v_counts=v_counts,
         total=total,
         wedges=wedges,
         side=enumerate_side,

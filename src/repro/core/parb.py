@@ -2,13 +2,13 @@
 
 The state-of-the-art parallel baseline (Shi & Shun [54]) peels *all*
 vertices with the current minimum support in each round; every round is
-one synchronization. Here each round is one Spark dataflow action: the
-batched 2-hop update join of :func:`repro.core.peel_round.batch_peel_round`
-floored at the round's minimum — support levels are therefore
-non-decreasing and the peel value is the tip number. As in RECEIPT CD,
-the O(n) support vector lives on the driver between rounds while the
-O(wedges) message join runs in Spark, so a round is exactly one job and
-the round count is the paper's ρ.
+one synchronization. ParB and RECEIPT CD apply the same batch update
+(lemma 2) and differ only in the support range a round peels, so ParB
+runs CD's peel loop (:class:`repro.core.receipt_cd.BatchPeeler`) on
+ranges one level wide, ``[min_sup, min_sup + 1)``, with HUC and DGM off.
+Supports are floored at that minimum, so the peel value is the tip
+number. The round count is the paper's ρ; a round is one batched update
+join, which takes several Spark jobs (see :mod:`repro.core.receipt_cd`).
 
 Because ρ for ParB is typically 100-1000x RECEIPT's (the paper's whole
 point), a full Spark run can exceed any reasonable local budget — mirror
@@ -22,24 +22,22 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.core import counting
 from repro.core.metrics import BaselineMetrics
-from repro.core.peel_round import batch_peel_round
+# not called here: perfbench wraps ``parb.batch_peel_round`` by name
+from repro.core.peel_round import batch_peel_round  # noqa: F401
+from repro.core.receipt_cd import MAX_ITERS, BatchPeeler
 from repro.graph import bipartite as bg
-
-#: safety bound independent of the caller's budget
-MAX_ROUNDS = 1_000_000
 
 
 def parb_spark(
     edges: DataFrame,
     *,
     side: str = "u",
-    max_rounds: int = MAX_ROUNDS,
+    max_rounds: int = MAX_ITERS,
     time_budget_s: float | None = None,
 ) -> tuple[pd.DataFrame, BaselineMetrics]:
     """Peel one side with min-support batch rounds on Spark.
@@ -48,54 +46,38 @@ def parb_spark(
     within budget — ``metrics.completed`` says whether that is all of
     them (rounds, wedges and partial tips are exact either way).
     """
-    spark = edges.sparkSession
     oriented = bg.orient(edges, side).localCheckpoint()
 
     t0 = time.perf_counter()
     sup, bc = counting.support_init(oriented)
     t1 = time.perf_counter()
+    peeler = BatchPeeler(oriented, sup, huc=False, dgm=False)
 
-    state = sup.toPandas()
-    state["sup"] = state["sup"].astype("int64")
-    # structure degrees for exact wedge accounting (no DGM in ParB)
-    edges_pdf = oriented.toPandas()
-    eu = edges_pdf["u"].to_numpy()
-    ev_codes, _ = pd.factorize(edges_pdf["v"])
-    dv = np.bincount(ev_codes)
-
-    met = BaselineMetrics(
-        count_seconds=t1 - t0, count_wedges=bc.wedges, completed=True
-    )
-    tips_acc: list[pd.DataFrame] = []
     start = time.perf_counter()
-    while len(state):
-        if met.rounds >= max_rounds or (
+
+    def out_of_budget(rounds: int) -> bool:
+        return rounds >= max_rounds or (
             time_budget_s is not None
             and time.perf_counter() - start > time_budget_s
-        ):
-            met.completed = False
-            break
-        m = int(state["sup"].min())
-        sel = state["sup"] == m
-        active = state[sel]
-        remaining = state[~sel]
-        tips_acc.append(active[["u"]].assign(tip=m))
-        edge_sel = pd.Series(eu).isin(set(active["u"].tolist())).to_numpy()
-        met.wedges += int(dv[ev_codes[edge_sel]].sum())
-        met.rounds += 1
-        if remaining.empty:
-            state = remaining
-            break
-        active_ids = spark.createDataFrame(active[["u"]])
-        remaining_sdf = spark.createDataFrame(remaining[["u", "sup"]])
-        state = batch_peel_round(
-            oriented, remaining_sdf, active_ids, floor=m
-        ).toPandas()
-        state["sup"] = state["sup"].astype("int64")
-    met.seconds = time.perf_counter() - start
+        )
+
+    tips_acc: list[pd.DataFrame] = []
+    finished = True
+    while finished and len(peeler.state):
+        m = int(peeler.state["sup"].min())
+        peeled, finished = peeler.peel_range(m, m + 1, out_of_budget)
+        tips_acc += [us.to_frame().assign(tip=m) for us in peeled]
     tips = (
         pd.concat(tips_acc, ignore_index=True)
         if tips_acc
         else pd.DataFrame(columns=["u", "tip"])
+    )
+    met = BaselineMetrics(
+        seconds=time.perf_counter() - start,
+        wedges=peeler.metrics.wedges,
+        rounds=peeler.metrics.rounds,
+        count_seconds=t1 - t0,
+        count_wedges=bc.wedges,
+        completed=peeler.state.empty,
     )
     return tips, met

@@ -1,14 +1,15 @@
-"""One batched peel iteration as Spark dataflow — shared by CD and ParB.
+"""One batched peel iteration as Spark dataflow — the update step of the
+peel loop (:class:`repro.core.receipt_cd.BatchPeeler`) that CD and ParB
+share.
 
 A peel round deletes a set ``S`` of vertices and propagates support
 updates to their 2-hop neighborhood: for each surviving ``u'`` sharing
 ``c`` wedges with a peeled ``u``, support drops by ``C(c, 2)`` (their
 shared butterflies), floored at the round's peel level (alg. 2's
 ``update`` called for every ``u in S``; lemma 2 proves batch-safety
-because a butterfly has exactly two U-vertices). RECEIPT CD calls this
-with ``S`` = all vertices in the current tip-number range and floor
-``θ(i)``; ParB calls it with ``S`` = the minimum-support vertices and
-floor = that minimum.
+because a butterfly has exactly two U-vertices). In RECEIPT CD ``S`` is
+all vertices in the current tip-number range and the floor is ``θ(i)``;
+in ParB ``S`` is the minimum-support vertices and the floor that minimum.
 
 The 2-hop propagation is one self-join on the center vertex — the
 "message passing" round of the dataflow formulation. Pair wedge counts
@@ -21,22 +22,6 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-
-
-def peel_cost(edges_cur: DataFrame, active_ids: DataFrame) -> int:
-    """``C_peel = sum_{u in S} sum_{v in N_u} d_v`` on the current structure.
-
-    This equals the number of wedge-traversal steps the update join
-    performs (paper's peel cost, also HUC's left-hand side).
-    """
-    degv = edges_cur.groupBy("v").agg(F.count("*").alias("dv"))
-    out = (
-        edges_cur.join(F.broadcast(active_ids), "u")
-        .join(degv, "v")
-        .agg(F.sum("dv"))
-        .first()[0]
-    )
-    return int(out or 0)
 
 
 def batch_peel_round(

@@ -12,9 +12,16 @@ Execution split: the O(wedges) work — the 2-hop message join and, when
 HUC fires, full re-counting — runs as Spark dataflow; the O(n) vertex
 support state and the O(m) HUC/DGM *cost model* (degree sums) live on
 the driver, exactly as the paper keeps per-vertex/per-degree arrays in
-shared memory beside its parallel wedge traversal. One peel iteration
-is therefore exactly one Spark action (the update join), which keeps the
-round structure — and hence ρ — identical to the paper's.
+shared memory beside its parallel wedge traversal. A peel iteration is
+one synchronization round, not one Spark job: it ships the active and
+surviving ids to Spark (two ``createDataFrame`` calls) and collects the
+new supports (one ``toPandas``), and each of these can run several jobs;
+DGM and HUC add their own compaction and re-count jobs. ρ counts
+iterations, so it is independent of how many jobs each one takes.
+
+:class:`BatchPeeler` is the one peel loop: CD peels ranges from
+``findHi``, and ParB (:mod:`repro.core.parb`) peels ranges one support
+level wide with HUC and DGM off.
 
 Implemented paper features:
 
@@ -38,6 +45,7 @@ Implemented paper features:
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +56,7 @@ from repro.core import counting
 from repro.core.metrics import PhaseMetrics
 from repro.core.peel_round import batch_peel_round, compact_edges
 
-#: hard safety bound on CD iterations (a correct run needs far fewer)
+#: hard safety bound on peel iterations (a correct CD run needs far fewer)
 MAX_ITERS = 100_000
 
 
@@ -83,7 +91,11 @@ class _CostModel:
         self.ev, self._v_ids = pd.factorize(edges_pdf["v"])
         self.alive_edge = np.ones(len(self.eu), dtype=bool)  # u alive
         self.struct_edge = np.ones(len(self.eu), dtype=bool)  # in structure
+        self.wedges_since = 0  # traversed since the last compaction (DGM)
         self._refresh_struct_degrees()
+        #: static ``w0[u] = Σ_{v∈N_u} (d_v - 1)``, wedges with endpoint u
+        #: (``findHi``'s weights), indexed by u
+        self.w0 = pd.Series(self.dv_struct[self.ev] - 1).groupby(self.eu).sum()
 
     def _refresh_struct_degrees(self) -> None:
         n_v = len(self._v_ids)
@@ -99,6 +111,7 @@ class _CostModel:
         """Mirror a structure compaction (DGM / HUC re-count)."""
         self.struct_edge = self.alive_edge.copy()
         self._refresh_struct_degrees()
+        self.wedges_since = 0
 
     @property
     def m_struct(self) -> int:
@@ -122,19 +135,105 @@ class _CostModel:
         return int(np.minimum(du[codes], dv[ev_a]).sum())
 
 
-def _find_hi(state_pdf: pd.DataFrame, tgt: float) -> int:
+class BatchPeeler:
+    """Batch peeling of the ``u`` side on Spark: the structure, the
+    driver-side support vector ``state`` ``(u, sup)`` of unpeeled
+    vertices, the cost model, and the counters of the rounds so far."""
+
+    def __init__(self, edges: DataFrame, sup: DataFrame, *, huc: bool, dgm: bool):
+        self.spark = edges.sparkSession
+        self.edges = edges  # current structure, compacted by DGM and HUC
+        self.cost = _CostModel(edges.toPandas())
+        self.state = sup.toPandas()
+        self.state["sup"] = self.state["sup"].astype("int64")
+        self.huc, self.dgm = huc, dgm
+        self.metrics = PhaseMetrics()
+        self.huc_recounts = 0
+        self.dgm_compactions = 0
+
+    def peel_range(
+        self, lo: int, hi: int, stop: Callable[[int], bool]
+    ) -> tuple[list[pd.Series], bool]:
+        """Peel every vertex whose support is in ``[lo, hi)``, round by
+        round with floor ``lo``, until none is left.
+
+        ``stop(rounds)`` is asked before each round with the rounds done
+        so far; when it returns True the range is left unfinished.
+        Returns the ids peeled in each round and whether the range was
+        finished.
+        """
+        peeled: list[pd.Series] = []
+        while True:
+            state = self.state
+            in_range = (state["sup"] >= lo) & (state["sup"] < hi)
+            if not in_range.any():
+                return peeled, True
+            if stop(self.metrics.rounds):
+                return peeled, False
+            self.metrics.rounds += 1
+            active, remaining = state[in_range], state[~in_range]
+            peeled.append(active["u"])
+            c_peel = self.cost.peel_cost(active["u"])
+            self.cost.peel(active["u"])
+            recount = self.huc and c_peel > self.cost.recount_cost()
+            if recount:
+                self.huc_recounts += 1
+            else:
+                self.metrics.wedges += c_peel
+            if remaining.empty:
+                self.state = remaining
+            elif recount:
+                self._recount(remaining, lo)
+            else:
+                self._update(active, remaining, lo, c_peel)
+
+    def _update(
+        self, active: pd.DataFrame, remaining: pd.DataFrame, lo: int, c_peel: int
+    ) -> None:
+        """Propagate the peel of ``active`` to ``remaining`` (one 2-hop
+        join), then compact the structure if DGM's budget is spent."""
+        active_ids = self.spark.createDataFrame(active[["u"]])
+        remaining_sdf = self.spark.createDataFrame(remaining)
+        self.state = batch_peel_round(
+            self.edges, remaining_sdf, active_ids, floor=lo
+        ).toPandas()
+        self.cost.wedges_since += c_peel
+        if self.dgm and self.cost.wedges_since > self.cost.m_struct:
+            keep_sdf = self.spark.createDataFrame(self.state[["u"]])
+            self.edges = compact_edges(self.edges, keep_sdf).localCheckpoint()
+            self.cost.compact()
+            self.dgm_compactions += 1
+
+    def _recount(self, remaining: pd.DataFrame, lo: int) -> None:
+        """HUC: re-count butterflies on the surviving graph instead."""
+        remaining_sdf = self.spark.createDataFrame(remaining[["u"]])
+        self.edges = compact_edges(self.edges, remaining_sdf).localCheckpoint()
+        self.cost.compact()
+        bc = counting.per_vertex_butterflies(self.edges)
+        new_sup = bc.u_counts.toPandas().rename(columns={"bcnt": "sup_new"})
+        state = remaining.drop(columns=["sup"]).merge(new_sup, "left", on="u")
+        state["sup"] = state["sup_new"].fillna(0).astype("int64").clip(lower=lo)
+        self.state = state[["u", "sup"]]
+        self.metrics.wedges += bc.wedges
+
+
+def _iteration_bound(rounds: int) -> bool:
+    if rounds >= MAX_ITERS:
+        raise RuntimeError("CD iteration bound exceeded — bug")
+    return False
+
+
+def _find_hi(sup: pd.Series, w0: pd.Series, tgt: float) -> int:
     """Paper's ``findHi``: smallest support whose cumulative wedge count
     reaches ``tgt``, plus one. Falls back to "peel everything" when the
     remaining wedge mass cannot reach the target (incl. the all-zero
     case, where supports can never change again)."""
-    hist = (
-        state_pdf.groupby("sup", as_index=False)["w0"].sum().sort_values("sup")
-    )
-    cum = hist["w0"].cumsum()
+    hist = w0.groupby(sup.to_numpy()).sum()
+    cum = hist.cumsum()
     reach = cum[cum >= max(tgt, 1)]
     if len(reach):
-        return int(hist.loc[reach.index[0], "sup"]) + 1
-    return int(hist["sup"].max()) + 1
+        return int(reach.index[0]) + 1
+    return int(hist.index[-1]) + 1
 
 
 def receipt_cd(
@@ -150,95 +249,39 @@ def receipt_cd(
     ``sup`` is the initial support ``(u, sup)`` from counting (one row
     per peel-side vertex). ``edges`` must already be oriented.
     """
-    from repro.graph import bipartite as bg
-
-    spark = edges.sparkSession
     t0 = time.perf_counter()
-    edges_cur = edges.select("u", "v").localCheckpoint()
-    edges_pdf = edges_cur.toPandas()
-    cost = _CostModel(edges_pdf)
-    w0 = bg.vertex_wedge_counts(edges).toPandas().rename(columns={"w": "w0"})
-    state = sup.toPandas().merge(w0, on="u", how="left")
-    state["w0"] = state["w0"].fillna(0).astype("int64")
-    state["sup"] = state["sup"].astype("int64")
-
-    res = CDResult(membership=pd.DataFrame(), ranges=[0])
-    wedges_since = 0
+    peeler = BatchPeeler(edges, sup, huc=huc, dgm=dgm)
+    w0 = peeler.cost.w0
+    ranges = [0]
     lo = 0
     members_acc: list[pd.DataFrame] = []
     s_prev = 1.0
     i = 1
-    while i <= n_partitions and len(state):
-        total_rem_w = float(state["w0"].sum())
-        tgt = s_prev * total_rem_w / (n_partitions - i + 1)
-        hi = _find_hi(state, tgt)
+    while i <= n_partitions and len(peeler.state):
+        state = peeler.state
+        w = state["u"].map(w0)
+        tgt = s_prev * float(w.sum()) / (n_partitions - i + 1)
+        hi = _find_hi(state["sup"], w, tgt)
         snap = state[["u", "sup"]].rename(columns={"sup": "init_sup"})
-        covered_w = 0
-        range_members: list[pd.DataFrame] = []
-        while True:
-            active = state[(state["sup"] >= lo) & (state["sup"] < hi)]
-            if active.empty:
-                break
-            res.metrics.rounds += 1
-            if res.metrics.rounds > MAX_ITERS:
-                raise RuntimeError("CD iteration bound exceeded — bug")
-            covered_w += int(active["w0"].sum())
-            range_members.append(active[["u"]])
-            remaining = state[~state["u"].isin(active["u"])]
-            c_peel = cost.peel_cost(active["u"])
-            cost.peel(active["u"])
-            use_recount = huc and c_peel > cost.recount_cost()
-            if use_recount:
-                res.huc_recounts += 1
-                if remaining.empty:
-                    state = remaining
-                    break
-                remaining_sdf = spark.createDataFrame(remaining[["u"]])
-                edges_cur = compact_edges(edges_cur, remaining_sdf).localCheckpoint()
-                cost.compact()
-                wedges_since = 0
-                bc = counting.per_vertex_butterflies(edges_cur)
-                new_sup = bc.u_counts.toPandas().rename(columns={"bcnt": "sup_new"})
-                state = remaining.drop(columns=["sup"]).merge(new_sup, "left", on="u")
-                state["sup"] = (
-                    state["sup_new"].fillna(0).astype("int64").clip(lower=lo)
-                )
-                state = state[["u", "sup", "w0"]]
-                res.metrics.wedges += bc.wedges
-            else:
-                if remaining.empty:
-                    state = remaining
-                    res.metrics.wedges += c_peel
-                    break
-                active_ids = spark.createDataFrame(active[["u"]])
-                remaining_sdf = spark.createDataFrame(remaining[["u", "sup", "w0"]])
-                state = batch_peel_round(
-                    edges_cur, remaining_sdf, active_ids, floor=lo
-                ).toPandas()
-                res.metrics.wedges += c_peel
-                wedges_since += c_peel
-                if dgm and wedges_since > cost.m_struct:
-                    keep_sdf = spark.createDataFrame(state[["u"]])
-                    edges_cur = compact_edges(edges_cur, keep_sdf).localCheckpoint()
-                    cost.compact()
-                    wedges_since = 0
-                    res.dgm_compactions += 1
-        if range_members:
-            mem = pd.concat(range_members, ignore_index=True).merge(snap, on="u")
+        peeled, _ = peeler.peel_range(lo, hi, _iteration_bound)
+        if peeled:
+            mem = pd.concat(peeled, ignore_index=True).to_frame().merge(snap, on="u")
             mem["subset"] = i
             members_acc.append(mem)
+            covered_w = int(mem["u"].map(w0).sum())
             s_prev = min(1.0, tgt / covered_w) if covered_w > 0 else 1.0
         else:
             s_prev = 1.0
-        res.ranges.append(hi)
+        ranges.append(hi)
         lo = hi
         i += 1
     # leftovers after P ranges form subset P+1 (paper §3.1.1)
+    state = peeler.state
     if len(state):
         mem = state.rename(columns={"sup": "init_sup"})[["u", "init_sup"]].copy()
         mem["subset"] = i
         members_acc.append(mem)
-        res.ranges.append(int(state["init_sup" if "init_sup" in state else "sup"].max()) + 1)
+        ranges.append(int(state["sup"].max()) + 1)
     membership = (
         pd.concat(members_acc, ignore_index=True)[["u", "init_sup", "subset"]]
         if members_acc
@@ -246,6 +289,11 @@ def receipt_cd(
     )
     for c in ("u", "init_sup", "subset"):
         membership[c] = membership[c].astype("int64")
-    res.membership = membership
-    res.metrics.seconds = time.perf_counter() - t0
-    return res
+    peeler.metrics.seconds = time.perf_counter() - t0
+    return CDResult(
+        membership=membership,
+        ranges=ranges,
+        metrics=peeler.metrics,
+        huc_recounts=peeler.huc_recounts,
+        dgm_compactions=peeler.dgm_compactions,
+    )

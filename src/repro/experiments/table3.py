@@ -20,7 +20,6 @@ reported — a row from a wrong decomposition never reaches the table.
 """
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.bup import bup, parb_simulate
@@ -28,15 +27,9 @@ from repro.core.counting import per_vertex_butterflies
 from repro.core.parb import parb_spark
 from repro.core.receipt import receipt
 from repro.experiments import datasets, report
+from repro.oracle import assert_tips_equal
 
 import time
-
-
-def _assert_same_tips(ref: pd.DataFrame, got: pd.DataFrame, who: str) -> None:
-    mrg = ref.merge(got, on="u", suffixes=("_ref", "_got"))
-    assert len(mrg) == len(ref), f"{who}: missing vertices"
-    bad = mrg[mrg["tip_ref"] != mrg["tip_got"]]
-    assert bad.empty, f"{who}: {len(bad)} wrong tip numbers\n{bad.head()}"
 
 
 def parb_in_paper(name: str, side: str) -> bool:
@@ -79,7 +72,7 @@ def run_side(
     tips_bup, m_bup = bup(oriented)
 
     tips_sim, m_sim = parb_simulate(oriented)
-    _assert_same_tips(tips_bup, tips_sim, "parb_simulate")
+    assert_tips_equal(tips_bup, tips_sim, "parb_simulate")
     t_parb: float | None = None
     if parb_spark_enabled:
         t_parb = float("inf")
@@ -87,12 +80,12 @@ def run_side(
             oriented, time_budget_s=parb_budget_s
         )
         if m_ps.completed:
-            _assert_same_tips(tips_bup, tips_ps, "parb_spark")
+            assert_tips_equal(tips_bup, tips_ps, "parb_spark")
             assert m_ps.rounds == m_sim.rounds, (m_ps.rounds, m_sim.rounds)
             t_parb = m_ps.total_seconds
 
     r = receipt(oriented, n_partitions=n_partitions)
-    _assert_same_tips(tips_bup, r.tips, "receipt")
+    assert_tips_equal(tips_bup, r.tips, "receipt")
 
     return {
         "label": datasets.label(name, side),

@@ -81,55 +81,3 @@ def side_wedge_total(edges: DataFrame, side: str = U_COL) -> int:
         .first()["w"]
     )
     return int(out or 0)
-
-
-def vertex_wedge_counts(edges: DataFrame) -> DataFrame:
-    """``w[u] = sum_{v in N_u} (d_v - 1)`` — wedges in G with endpoint u.
-
-    This is the per-vertex wedge count used by RECEIPT CD for range
-    determination and load balancing (``sum_u w[u] = 2 * side_wedge_total``).
-    Returned as ``(u, w)``.
-    """
-    degv = degrees(edges, V_COL)
-    return (
-        edges.join(degv, V_COL)
-        .groupBy(U_COL)
-        .agg(F.sum(F.col("deg") - 1).alias("w"))
-    )
-
-
-def peel_cost_counts(edges: DataFrame) -> DataFrame:
-    """``c[u] = sum_{v in N_u} d_v`` — the paper's peel-cost of vertex u.
-
-    Equals the number of wedge *traversal steps* (including the trivial
-    ``u-v-u`` step) performed by ``update(u)`` on the current structure;
-    this is the quantity the paper sums for Λ^peel and C_peel.
-    Returned as ``(u, c)``.
-    """
-    degv = degrees(edges, V_COL)
-    return (
-        edges.join(degv, V_COL)
-        .groupBy(U_COL)
-        .agg(F.sum("deg").alias("c"))
-    )
-
-
-def induced_on_u(edges: DataFrame, members: DataFrame) -> DataFrame:
-    """Subgraph induced on ``(members.u, V)``: all edges of the members."""
-    return edges.join(members.select(U_COL).distinct(), U_COL, "leftsemi")
-
-
-def recount_cost(edges: DataFrame) -> int:
-    """``sum_{(u,v) in E} min(d_u, d_v)`` — vertex-priority counting bound.
-
-    Used by HUC as the cost of re-counting butterflies (paper §4.1).
-    """
-    degu = degrees(edges, U_COL).withColumnRenamed("deg", "du")
-    degv = degrees(edges, V_COL).withColumnRenamed("deg", "dv")
-    out = (
-        edges.join(degu, U_COL)
-        .join(degv, V_COL)
-        .agg(F.sum(F.least("du", "dv")).alias("c"))
-        .first()["c"]
-    )
-    return int(out or 0)

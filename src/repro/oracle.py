@@ -10,6 +10,9 @@ collected via ``.toPandas()``. Alias every output column identically
 on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
 ``count_star()``) and project to scalar columns — array/map/struct
 columns are not orderable so cannot be compared here.
+
+``assert_tips_equal(ref, got)`` asserts two tip decompositions agree
+exactly, vertex for vertex.
 """
 import duckdb
 import pandas as pd
@@ -41,3 +44,11 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
     pd.testing.assert_frame_equal(
         _canon(got), _canon(expected), check_dtype=False
     )
+
+
+def assert_tips_equal(ref: pd.DataFrame, got: pd.DataFrame, who: str = "") -> None:
+    """Exact per-vertex tip equality (both frames: columns u, tip)."""
+    mrg = ref.merge(got, on="u", suffixes=("_ref", "_got"))
+    assert len(mrg) == len(ref) == len(got), f"{who}: vertex set mismatch"
+    bad = mrg[mrg["tip_ref"] != mrg["tip_got"]]
+    assert bad.empty, f"{who}: {len(bad)} tips differ\n{bad.head(10)}"

@@ -10,6 +10,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.oracle import assert_tips_equal  # noqa: F401  (re-exported for tests)
+
 
 def complete_bipartite_pdf(a: int, b: int) -> pd.DataFrame:
     """K_{a,b}: every U vertex adjacent to every V vertex.
@@ -108,11 +110,3 @@ def brute_force_vertex_butterflies(pdf: pd.DataFrame) -> tuple[dict, dict, int]:
         for v in common:
             per_v[v] += c - 1
     return per_u, per_v, total
-
-
-def assert_tips_equal(ref: pd.DataFrame, got: pd.DataFrame, who: str = "") -> None:
-    """Exact per-vertex tip equality (both frames: columns u, tip)."""
-    mrg = ref.merge(got, on="u", suffixes=("_ref", "_got"))
-    assert len(mrg) == len(ref) == len(got), f"{who}: vertex set mismatch"
-    bad = mrg[mrg["tip_ref"] != mrg["tip_got"]]
-    assert bad.empty, f"{who}: {len(bad)} tips differ\n{bad.head(10)}"

@@ -1,9 +1,13 @@
-"""Tests for the edge-DataFrame helpers, checked against the DuckDB
-oracle wherever the quantity is SQL-expressible."""
+"""Tests for the edge-DataFrame helpers and CD's driver-side cost model
+(the graph quantities it computes from the collected edge list), checked
+against the DuckDB oracle wherever the quantity is SQL-expressible."""
+from collections import Counter
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.receipt_cd import _CostModel
 from repro.graph import bipartite as bg
 from repro.oracle import assert_equivalent
 
@@ -82,8 +86,13 @@ def test_side_wedge_total_matches_formula(small_graph):
 
 
 def test_vertex_wedge_counts_oracle(small_graph):
+    """CD's static ``w0[u] = sum_{v in N_u} (d_v - 1)``, computed on the
+    driver by the cost model."""
     edges, pdf = small_graph
-    got = bg.vertex_wedge_counts(edges).withColumn("w", F.col("w").cast("long"))
+    w0 = _CostModel(pdf).w0
+    got = edges.sparkSession.createDataFrame(
+        pd.DataFrame({"u": w0.index, "w": w0.to_numpy()})
+    )
     assert_equivalent(
         got,
         """
@@ -97,15 +106,20 @@ def test_vertex_wedge_counts_oracle(small_graph):
 
 
 def test_vertex_wedge_counts_sum_identity(small_graph):
-    """sum_u w[u] = 2 * (#wedges with endpoints in U)."""
-    edges, _ = small_graph
-    total = bg.vertex_wedge_counts(edges).agg(F.sum("w")).first()[0] or 0
-    assert int(total) == 2 * bg.side_wedge_total(edges, "u")
+    """sum_u w0[u] = 2 * (#wedges with endpoints in U)."""
+    edges, pdf = small_graph
+    assert int(_CostModel(pdf).w0.sum()) == 2 * bg.side_wedge_total(edges, "u")
 
 
 def test_peel_cost_counts_oracle(small_graph):
+    """Per-vertex peel cost ``c[u] = sum_{v in N_u} d_v`` from the cost
+    model's ``C_peel`` of the one-vertex set ``{u}``."""
     edges, pdf = small_graph
-    got = bg.peel_cost_counts(edges).withColumn("c", F.col("c").cast("long"))
+    cost = _CostModel(pdf)
+    us = pdf["u"].unique()
+    got = edges.sparkSession.createDataFrame(
+        pd.DataFrame({"u": us, "c": [cost.peel_cost([u]) for u in us]})
+    )
     assert_equivalent(
         got,
         """
@@ -118,17 +132,8 @@ def test_peel_cost_counts_oracle(small_graph):
     )
 
 
-def test_induced_on_u(spark):
-    pdf = SMALL_GRAPHS["paper"]()
-    edges = spark.createDataFrame(pdf)
-    members = spark.createDataFrame(pd.DataFrame({"u": [0, 2]}))
-    got = bg.induced_on_u(edges, members).toPandas()
-    want = pdf[pdf["u"].isin([0, 2])]
-    assert sorted(map(tuple, got.values)) == sorted(map(tuple, want.values))
-
-
 def test_recount_cost_matches_pandas(small_graph):
-    edges, pdf = small_graph
+    _, pdf = small_graph
     du = pdf.groupby("u")["v"].size()
     dv = pdf.groupby("v")["u"].size()
     want = int(
@@ -136,4 +141,36 @@ def test_recount_cost_matches_pandas(small_graph):
             [pdf["u"].map(du), pdf["v"].map(dv)], axis=1
         ).min(axis=1).sum()
     )
-    assert bg.recount_cost(edges) == want
+    assert _CostModel(pdf).recount_cost() == want
+
+
+def _brute_costs(struct, alive, peel_set):
+    """``(C_peel(peel_set), C_rcnt, |E_struct|)`` by direct summation over
+    the structure's edges ``struct`` and the alive graph's edges ``alive``."""
+    dv_struct = Counter(v for _, v in struct)
+    c_peel = sum(dv_struct[v] for u, v in struct if u in peel_set)
+    du, dv = Counter(u for u, _ in alive), Counter(v for _, v in alive)
+    c_rcnt = sum(min(du[u], dv[v]) for u, v in alive)
+    return c_peel, c_rcnt, len(struct)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+def test_cost_model_brute_force(name):
+    """``_CostModel``'s C_peel, C_rcnt and |E_struct| before peeling,
+    after ``peel()`` (structure stale) and after ``compact()``."""
+    pdf = SMALL_GRAPHS[name]()
+    edges = list(pdf.itertuples(index=False, name=None))
+    us = sorted(pdf["u"].unique())
+    first, second = set(us[::2]), set(us[1::2])
+    cost = _CostModel(pdf)
+
+    def check(struct, alive, peel_set):
+        got = (cost.peel_cost(sorted(peel_set)), cost.recount_cost(), cost.m_struct)
+        assert got == _brute_costs(struct, alive, peel_set)
+
+    check(edges, edges, first)
+    cost.peel(sorted(first))
+    alive = [(u, v) for u, v in edges if u not in first]
+    check(edges, alive, second)
+    cost.compact()
+    check(alive, alive, second)
