@@ -34,11 +34,11 @@ def edges_to_numpy(
     """``(n_u, n_v, eu, ev, u_ids, v_ids)`` with the peel side first.
 
     ``u_ids[i]`` is the original id of internal ``u`` vertex ``i``.
+    Repeated edges are dropped: a graph is a set of edges.
     """
     if isinstance(edges, SparkDataFrame):
-        pdf = edges.select("u", "v").toPandas()
-    else:
-        pdf = edges[["u", "v"]]
+        edges = edges.select("u", "v").toPandas()
+    pdf = edges[["u", "v"]].drop_duplicates()
     ucol, vcol = ("u", "v") if side == "u" else ("v", "u")
     eu, u_ids = pd.factorize(pdf[ucol], sort=True)
     ev, v_ids = pd.factorize(pdf[vcol], sort=True)

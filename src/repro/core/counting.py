@@ -1,4 +1,5 @@
-"""Per-vertex butterfly counting as Spark dataflow (paper alg. 1).
+"""Per-vertex butterfly counting of the peel side as Spark dataflow
+(paper alg. 1).
 
 The vertex-priority algorithm's arithmetic is: enumerate wedges on one
 side, count wedges per same-side vertex pair (``c``), then
@@ -7,10 +8,14 @@ side, count wedges per same-side vertex pair (``c``), then
   ``c - 1`` per wedge it centers.
 
 In dataflow form the wedge enumeration is a self-join of the edge list
-on the center vertex, and the contributions are two aggregations — the
+on the center vertex, and a contribution is one aggregation — the
 "message passing for butterfly counts" of the reproduction hint. The
 enumeration side is chosen as the one with fewer wedges (Sanei-Mehri et
-al., paper §2.1), which also serves HUC's re-counting path.
+al., paper §2.1). RECEIPT reads only the peel side's (``u``) counts: CD's
+initial supports and HUC's re-counts. So only the roll-up that yields
+them runs — the same-side one when ``u`` pairs are enumerated, the
+opposite-side one when ``v`` pairs are — and its result is collected to
+the driver once, inside this call.
 
 Wedge accounting: the number of *enumerated* wedges is
 ``sum_center C(d_center, 2)`` for the chosen side (computed
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -31,23 +37,18 @@ from repro.graph import bipartite as bg
 class ButterflyCounts:
     """Outputs of one counting pass.
 
-    ``u_counts``/``v_counts``: ``(u|v, bcnt)`` with a row for *every*
-    non-isolated vertex of the side (zero-filled). ``total`` is the
-    number of butterflies in the graph; ``wedges`` the enumerated wedge
-    count; ``side`` which side's pairs were enumerated.
+    ``u_counts``: pandas ``(u, bcnt)`` with a row for *every* non-isolated
+    ``u`` vertex (zero-filled); ``wedges`` the enumerated wedge count.
     """
 
-    u_counts: DataFrame
-    v_counts: DataFrame
-    total: int
+    u_counts: pd.DataFrame
     wedges: int
-    side: str
 
 
 def per_vertex_butterflies(
     edges: DataFrame, enumerate_side: str = "auto"
 ) -> ButterflyCounts:
-    """Count butterflies per vertex on both sides of ``edges``."""
+    """Count butterflies per ``u`` vertex of ``edges``."""
     wu = bg.side_wedge_total(edges, "u")  # wedges with endpoints in U
     wv = bg.side_wedge_total(edges, "v")
     if enumerate_side == "auto":
@@ -62,61 +63,33 @@ def per_vertex_butterflies(
     e1 = edges.select(F.col(end_col).alias("p1"), F.col(cen_col).alias("c0"))
     e2 = edges.select(F.col(end_col).alias("p2"), F.col(cen_col).alias("c0"))
     wedge_rows = e1.join(e2, "c0").where(F.col("p1") < F.col("p2"))
-    wedge_rows = wedge_rows.persist()
-    try:
-        pairs = (
-            wedge_rows.groupBy("p1", "p2")
-            .agg(F.count("*").alias("c"))
-            .withColumn("bf", (F.col("c") * (F.col("c") - 1) / 2).cast("long"))
-            .persist()
-        )
-        total = int(pairs.agg(F.sum("bf")).first()[0] or 0)
-        end_counts = (
-            pairs.select(F.col("p1").alias("x"), "bf")
-            .unionAll(pairs.select(F.col("p2").alias("x"), "bf"))
-            .groupBy("x")
+    pairs = wedge_rows.groupBy("p1", "p2").agg(F.count("*").alias("c"))
+    if enumerate_side == "u":  # u is an endpoint: C(c, 2) per pair
+        pairs = pairs.withColumn("bf", F.expr("c * (c - 1) div 2"))
+        counts = (
+            pairs.select(F.col("p1").alias("u"), "bf")
+            .unionAll(pairs.select(F.col("p2").alias("u"), "bf"))
+            .groupBy("u")
             .agg(F.sum("bf").alias("bcnt"))
         )
-        cen_counts = (
-            wedge_rows.join(pairs.select("p1", "p2", "c"), ["p1", "p2"])
-            .groupBy("c0")
+    else:  # u is a center: c - 1 per wedge
+        counts = (
+            wedge_rows.join(pairs, ["p1", "p2"])
+            .groupBy(F.col("c0").alias("u"))
             .agg(F.sum(F.col("c") - 1).alias("bcnt"))
         )
-        end_full = _zero_fill(edges, end_col, end_counts, "x")
-        cen_full = _zero_fill(edges, cen_col, cen_counts, "c0")
-        # materialize before unpersisting the wedge join
-        end_full = end_full.localCheckpoint(eager=True)
-        cen_full = cen_full.localCheckpoint(eager=True)
-    finally:
-        wedge_rows.unpersist()
-        pairs.unpersist()
-    if enumerate_side == "u":
-        u_counts = end_full.withColumnRenamed("x", "u")
-        v_counts = cen_full.withColumnRenamed("c0", "v")
-    else:
-        u_counts = cen_full.withColumnRenamed("c0", "u")
-        v_counts = end_full.withColumnRenamed("x", "v")
-    return ButterflyCounts(
-        u_counts=u_counts,
-        v_counts=v_counts,
-        total=total,
-        wedges=wedges,
-        side=enumerate_side,
+    u_counts = (
+        edges.select("u")
+        .distinct()
+        .join(counts, "u", "left")
+        .select("u", F.coalesce("bcnt", F.lit(0)).cast("long").alias("bcnt"))
+        .toPandas()
     )
+    return ButterflyCounts(u_counts=u_counts, wedges=wedges)
 
 
-def _zero_fill(
-    edges: DataFrame, side_col: str, counts: DataFrame, key: str
-) -> DataFrame:
-    """Left-join counts onto all distinct side vertices, filling zeros."""
-    verts = edges.select(F.col(side_col).alias(key)).distinct()
-    return verts.join(counts, key, "left").select(
-        key, F.coalesce("bcnt", F.lit(0)).cast("long").alias("bcnt")
-    )
-
-
-def support_init(edges: DataFrame) -> tuple[DataFrame, ButterflyCounts]:
-    """Initial peel-side supports ``(u, sup)`` plus the full counts."""
+def support_init(edges: DataFrame) -> tuple[pd.DataFrame, ButterflyCounts]:
+    """Initial peel-side supports, pandas ``(u, sup)``, plus the counts."""
     bc = per_vertex_butterflies(edges)
-    sup = bc.u_counts.select("u", F.col("bcnt").alias("sup"))
+    sup = bc.u_counts.rename(columns={"bcnt": "sup"})
     return sup, bc

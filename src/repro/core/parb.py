@@ -46,7 +46,7 @@ def parb_spark(
     within budget — ``metrics.completed`` says whether that is all of
     them (rounds, wedges and partial tips are exact either way).
     """
-    oriented = bg.orient(edges, side).localCheckpoint()
+    oriented = bg.orient(edges, side).distinct().localCheckpoint()
 
     t0 = time.perf_counter()
     sup, bc = counting.support_init(oriented)

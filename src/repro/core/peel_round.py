@@ -51,7 +51,7 @@ def batch_peel_round(
     delta = (
         live.groupBy("up", "uo")
         .agg(F.count("*").alias("c"))
-        .withColumn("bf", (F.col("c") * (F.col("c") - 1) / 2).cast("long"))
+        .withColumn("bf", F.expr("c * (c - 1) div 2"))
         .groupBy("uo")
         .agg(F.sum("bf").alias("d"))
         .withColumnRenamed("uo", "u")

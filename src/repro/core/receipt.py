@@ -46,7 +46,7 @@ def receipt(
     and V of each dataset separately). Returns exact tip numbers as
     pandas ``(u, tip)`` in original ids plus a full metrics roll-up.
     """
-    oriented = bg.orient(edges, side).localCheckpoint()
+    oriented = bg.orient(edges, side).distinct().localCheckpoint()
     met = ReceiptMetrics()
 
     t0 = time.perf_counter()

@@ -140,12 +140,13 @@ class BatchPeeler:
     driver-side support vector ``state`` ``(u, sup)`` of unpeeled
     vertices, the cost model, and the counters of the rounds so far."""
 
-    def __init__(self, edges: DataFrame, sup: DataFrame, *, huc: bool, dgm: bool):
+    def __init__(
+        self, edges: DataFrame, sup: pd.DataFrame, *, huc: bool, dgm: bool
+    ):
         self.spark = edges.sparkSession
         self.edges = edges  # current structure, compacted by DGM and HUC
         self.cost = _CostModel(edges.toPandas())
-        self.state = sup.toPandas()
-        self.state["sup"] = self.state["sup"].astype("int64")
+        self.state = sup.astype({"sup": "int64"})
         self.huc, self.dgm = huc, dgm
         self.metrics = PhaseMetrics()
         self.huc_recounts = 0
@@ -210,7 +211,7 @@ class BatchPeeler:
         self.edges = compact_edges(self.edges, remaining_sdf).localCheckpoint()
         self.cost.compact()
         bc = counting.per_vertex_butterflies(self.edges)
-        new_sup = bc.u_counts.toPandas().rename(columns={"bcnt": "sup_new"})
+        new_sup = bc.u_counts.rename(columns={"bcnt": "sup_new"})
         state = remaining.drop(columns=["sup"]).merge(new_sup, "left", on="u")
         state["sup"] = state["sup_new"].fillna(0).astype("int64").clip(lower=lo)
         self.state = state[["u", "sup"]]
@@ -238,7 +239,7 @@ def _find_hi(sup: pd.Series, w0: pd.Series, tgt: float) -> int:
 
 def receipt_cd(
     edges: DataFrame,
-    sup: DataFrame,
+    sup: pd.DataFrame,
     n_partitions: int,
     *,
     huc: bool = True,
@@ -246,8 +247,8 @@ def receipt_cd(
 ) -> CDResult:
     """Run coarse decomposition of the ``u`` side of ``edges``.
 
-    ``sup`` is the initial support ``(u, sup)`` from counting (one row
-    per peel-side vertex). ``edges`` must already be oriented.
+    ``sup`` is the initial support, pandas ``(u, sup)`` from counting
+    (one row per peel-side vertex). ``edges`` must already be oriented.
     """
     t0 = time.perf_counter()
     peeler = BatchPeeler(edges, sup, huc=huc, dgm=dgm)

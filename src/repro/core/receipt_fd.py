@@ -92,8 +92,13 @@ def receipt_fd(
     t0 = time.perf_counter()
     # two independent frames from the same pandas data: a cogroup of two
     # derivations of one DataFrame trips Spark's ambiguous-self-join check
-    mem_sdf = spark.createDataFrame(membership[["u", "subset", "init_sup"]])
-    mem_for_edges = spark.createDataFrame(membership[["u", "subset"]])
+    mem_sdf = spark.createDataFrame(
+        membership[["u", "subset", "init_sup"]],
+        "u long, subset long, init_sup long",
+    )
+    mem_for_edges = spark.createDataFrame(
+        membership[["u", "subset"]], "u long, subset long"
+    )
     edges_m = edges.join(F.broadcast(mem_for_edges), "u")
     grouped = edges_m.groupBy("subset").cogroup(mem_sdf.groupBy("subset"))
     out = grouped.applyInPandas(_make_fd_worker(dgm), _OUT_SCHEMA)

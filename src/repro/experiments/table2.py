@@ -30,7 +30,7 @@ def dataset_stats(spark: SparkSession, name: str, scale: str | float = "bench") 
         "E": m,
         "d_U": round(m / n_u, 1),
         "d_V": round(m / n_v, 1),
-        "butterflies": bc.total,
+        "butterflies": int(bc.u_counts["bcnt"].sum()) // 2,
         "wedges": wedges_g,
         "theta_max_U": int(tips_u["tip"].max()),
         "theta_max_V": int(tips_v["tip"].max()),

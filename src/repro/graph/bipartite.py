@@ -3,8 +3,10 @@
 A bipartite graph is represented as a Spark DataFrame with two long
 columns ``u`` and ``v`` — one row per (undirected) edge between the two
 disjoint vertex sets ``U`` and ``V``. Vertex ids are arbitrary
-non-negative longs; no deduplication is assumed by the helpers, so
-generators must emit distinct edges (``validate`` checks this).
+non-negative longs. A graph is a *set* of edges: the decompositions
+(``receipt()``, ``parb_spark()``, ``bup()``) drop repeated rows on
+entry. The helpers here count rows as given, so generators must emit
+distinct edges (``validate`` checks this).
 
 All peeling code in :mod:`repro.core` peels the ``u`` side; callers that
 want to peel ``V`` first call :func:`orient` to swap the columns.

@@ -2,7 +2,6 @@
 checked against the DuckDB oracle and the NumPy counter."""
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.bup import edges_to_numpy
 from repro.core.counting import per_vertex_butterflies, support_init
@@ -10,7 +9,7 @@ from repro.core.kernel import count_butterflies_np
 from repro.graph import bipartite as bg
 from repro.oracle import assert_equivalent
 
-from .conftest import SMALL_GRAPHS
+from .conftest import SMALL_GRAPHS, brute_force_vertex_butterflies
 
 #: DuckDB reference for per-vertex butterfly counts of the U side
 U_COUNT_SQL = """
@@ -29,19 +28,20 @@ FROM (SELECT DISTINCT u FROM edges) au
 LEFT JOIN (SELECT u, SUM(b) AS b FROM contrib GROUP BY u) s USING (u)
 """
 
-#: DuckDB reference for the V side (opposite-side contributions)
-V_COUNT_SQL = """
+#: DuckDB reference for the same U counts in opposite-side form: ``v``
+#: pairs are enumerated and each ``u`` gets ``c - 1`` per wedge it centers
+U_CENTER_COUNT_SQL = """
 WITH w AS (
-  SELECT e1.u AS u1, e2.u AS u2, e1.v AS v
-  FROM edges e1 JOIN edges e2 ON e1.v = e2.v AND e1.u < e2.u
+  SELECT e1.v AS v1, e2.v AS v2, e1.u AS u
+  FROM edges e1 JOIN edges e2 ON e1.u = e2.u AND e1.v < e2.v
 ), p AS (
-  SELECT u1, u2, COUNT(*) AS c FROM w GROUP BY u1, u2
+  SELECT v1, v2, COUNT(*) AS c FROM w GROUP BY v1, v2
 ), contrib AS (
-  SELECT w.v AS v, p.c - 1 AS b FROM w JOIN p USING (u1, u2)
+  SELECT w.u AS u, p.c - 1 AS b FROM w JOIN p USING (v1, v2)
 )
-SELECT av.v AS v, CAST(COALESCE(s.b, 0) AS BIGINT) AS bcnt
-FROM (SELECT DISTINCT v FROM edges) av
-LEFT JOIN (SELECT v, SUM(b) AS b FROM contrib GROUP BY v) s USING (v)
+SELECT au.u AS u, CAST(COALESCE(s.b, 0) AS BIGINT) AS bcnt
+FROM (SELECT DISTINCT u FROM edges) au
+LEFT JOIN (SELECT u, SUM(b) AS b FROM contrib GROUP BY u) s USING (u)
 """
 
 
@@ -51,37 +51,37 @@ def small_graph(spark, small_graph_pdf):
 
 
 def test_u_counts_oracle(small_graph):
+    """U counts through both roll-ups: same-side (``u`` pairs enumerated)
+    and opposite-side (``v`` pairs enumerated)."""
     edges, pdf = small_graph
-    bc = per_vertex_butterflies(edges)
-    assert_equivalent(bc.u_counts, U_COUNT_SQL, edges=pdf)
+    for enumerate_side in ("u", "v"):
+        bc = per_vertex_butterflies(edges, enumerate_side=enumerate_side)
+        assert_equivalent(bc.u_counts, U_COUNT_SQL, edges=pdf)
 
 
 def test_v_counts_oracle(small_graph):
+    """The opposite-side roll-up (``v`` pairs enumerated) against its own
+    DuckDB formula, ``c - 1`` per centered wedge."""
     edges, pdf = small_graph
-    bc = per_vertex_butterflies(edges)
-    assert_equivalent(bc.v_counts, V_COUNT_SQL, edges=pdf)
+    bc = per_vertex_butterflies(edges, enumerate_side="v")
+    assert_equivalent(bc.u_counts, U_CENTER_COUNT_SQL, edges=pdf)
 
 
 def test_matches_numpy(small_graph):
     edges, pdf = small_graph
     bc = per_vertex_butterflies(edges)
-    n_u, n_v, eu, ev, u_ids, v_ids = edges_to_numpy(pdf)
-    bu, bv, total, _ = count_butterflies_np(n_u, n_v, eu, ev)
-    got_u = bc.u_counts.toPandas().set_index("u")["bcnt"]
-    got_v = bc.v_counts.toPandas().set_index("v")["bcnt"]
-    assert bc.total == total
+    n_u, n_v, eu, ev, u_ids, _ = edges_to_numpy(pdf)
+    bu, _, _, _ = count_butterflies_np(n_u, n_v, eu, ev)
+    got_u = bc.u_counts.set_index("u")["bcnt"]
     for i, uid in enumerate(u_ids):
         assert got_u[uid] == bu[i]
-    for i, vid in enumerate(v_ids):
-        assert got_v[vid] == bv[i]
 
 
 def test_sum_identity(small_graph):
-    edges, _ = small_graph
+    edges, pdf = small_graph
     bc = per_vertex_butterflies(edges)
-    su = bc.u_counts.agg(F.sum("bcnt")).first()[0] or 0
-    sv = bc.v_counts.agg(F.sum("bcnt")).first()[0] or 0
-    assert su == sv == 2 * bc.total
+    _, _, total = brute_force_vertex_butterflies(pdf)
+    assert int(bc.u_counts["bcnt"].sum()) == 2 * total
 
 
 @pytest.mark.parametrize("forced", ["u", "v"])
@@ -91,10 +91,9 @@ def test_enumeration_side_invariance(spark, forced):
     auto = per_vertex_butterflies(edges)
     forced_bc = per_vertex_butterflies(edges, enumerate_side=forced)
     pd.testing.assert_frame_equal(
-        auto.u_counts.toPandas().sort_values("u").reset_index(drop=True),
-        forced_bc.u_counts.toPandas().sort_values("u").reset_index(drop=True),
+        auto.u_counts.sort_values("u").reset_index(drop=True),
+        forced_bc.u_counts.sort_values("u").reset_index(drop=True),
     )
-    assert auto.total == forced_bc.total
 
 
 def test_auto_picks_cheaper_side(spark):
@@ -103,7 +102,6 @@ def test_auto_picks_cheaper_side(spark):
     bc = per_vertex_butterflies(edges)
     wu = bg.side_wedge_total(edges, "u")
     wv = bg.side_wedge_total(edges, "v")
-    assert bc.side == ("u" if wu <= wv else "v")
     assert bc.wedges == min(wu, wv)
 
 
@@ -115,8 +113,8 @@ def test_rejects_bad_side(spark):
 
 def test_support_init_covers_all_u(small_graph):
     edges, pdf = small_graph
-    sup, bc = support_init(edges)
-    got = sup.toPandas()
-    assert set(got["u"]) == set(pdf["u"])
-    assert (got["sup"] >= 0).all()
-    assert int(got["sup"].sum()) == 2 * bc.total
+    sup, _ = support_init(edges)
+    _, _, total = brute_force_vertex_butterflies(pdf)
+    assert set(sup["u"]) == set(pdf["u"])
+    assert (sup["sup"] >= 0).all()
+    assert int(sup["sup"].sum()) == 2 * total

@@ -22,7 +22,7 @@ def test_single_subset_equals_bup(spark):
     pdf = SMALL_GRAPHS["rnd1"]()
     edges = _oriented(spark, pdf)
     sup, _ = support_init(edges)
-    membership = sup.toPandas().rename(columns={"sup": "init_sup"})
+    membership = sup.rename(columns={"sup": "init_sup"})
     membership["subset"] = 1
     fd = receipt_fd(edges, membership)
     assert_tips_equal(bup(pdf)[0], fd.tips, "fd-single")
