@@ -24,7 +24,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame as SparkDataFrame
 
-from repro.core.kernel import PeelStats, count_butterflies_np, peel
+from repro.core.kernel import count_butterflies_np, peel
 from repro.core.metrics import BaselineMetrics
 
 
@@ -52,18 +52,10 @@ def edges_to_numpy(
     )
 
 
-def initial_supports(
-    n_u: int, n_v: int, eu: np.ndarray, ev: np.ndarray
-) -> tuple[np.ndarray, int, int]:
-    """Peel-side butterfly counts ``(sup0, total_butterflies, wedges)``."""
-    bu, _, total, wedges = count_butterflies_np(n_u, n_v, eu, ev)
-    return bu, total, wedges
-
-
-def _run(edges, side: str, *, batch: bool) -> tuple[pd.DataFrame, BaselineMetrics, PeelStats]:
+def _run(edges, side: str, *, batch: bool) -> tuple[pd.DataFrame, BaselineMetrics]:
     n_u, n_v, eu, ev, u_ids, _ = edges_to_numpy(edges, side)
     t0 = time.perf_counter()
-    sup0, _, cnt_wedges = initial_supports(n_u, n_v, eu, ev)
+    sup0, _, _, cnt_wedges = count_butterflies_np(n_u, n_v, eu, ev)
     t1 = time.perf_counter()
     tips, st = peel(n_u, n_v, eu, ev, sup0, batch=batch, dgm=False)
     t2 = time.perf_counter()
@@ -75,7 +67,7 @@ def _run(edges, side: str, *, batch: bool) -> tuple[pd.DataFrame, BaselineMetric
         count_seconds=t1 - t0,
         count_wedges=cnt_wedges,
     )
-    return out, met, st
+    return out, met
 
 
 def bup(edges, side: str = "u") -> tuple[pd.DataFrame, BaselineMetrics]:
@@ -83,8 +75,7 @@ def bup(edges, side: str = "u") -> tuple[pd.DataFrame, BaselineMetrics]:
 
     ``tips`` has columns ``(u, tip)`` in original vertex ids.
     """
-    out, met, _ = _run(edges, side, batch=False)
-    return out, met
+    return _run(edges, side, batch=False)
 
 
 def parb_simulate(edges, side: str = "u") -> tuple[pd.DataFrame, BaselineMetrics]:
@@ -93,8 +84,7 @@ def parb_simulate(edges, side: str = "u") -> tuple[pd.DataFrame, BaselineMetrics
     This is the driver-side simulator used for Table 3's ρ column and as
     the fallback when the Spark ParB loop exceeds its budget.
     """
-    out, met, _ = _run(edges, side, batch=True)
-    return out, met
+    return _run(edges, side, batch=True)
 
 
 def bup_bruteforce(edges, side: str = "u") -> pd.DataFrame:

@@ -30,7 +30,6 @@ class PeelStats:
 
     rounds: int = 0
     wedges: int = 0
-    updates: int = 0
     dgm_compactions: int = 0
     peel_order: list[int] = field(default_factory=list)
 
@@ -118,7 +117,6 @@ def peel(
                 continue
             vals, cnt = np.unique(nbr, return_counts=True)
             delta = cnt * (cnt - 1) // 2
-            st.updates += len(vals)
             sup[vals] = np.maximum(level, sup[vals] - delta)
         st.rounds += 1
         if dgm and wedges_since > m_edges and n_alive:

@@ -1,22 +1,22 @@
-"""One batched peel iteration as Spark dataflow — the update step of the
-peel loop (:class:`repro.core.receipt_cd.BatchPeeler`) that CD and ParB
-share.
+"""One batched peel iteration as Spark dataflow — the O(wedges) part of
+the update step of the peel loop (:class:`repro.core.receipt_cd.BatchPeeler`)
+that CD and ParB share.
 
 A peel round deletes a set ``S`` of vertices and propagates support
-updates to their 2-hop neighborhood: for each surviving ``u'`` sharing
-``c`` wedges with a peeled ``u``, support drops by ``C(c, 2)`` (their
-shared butterflies), floored at the round's peel level (alg. 2's
+updates to their 2-hop neighborhood: a ``u'`` sharing ``c`` wedges with a
+peeled ``u`` loses ``C(c, 2)`` (their shared butterflies) — alg. 2's
 ``update`` called for every ``u in S``; lemma 2 proves batch-safety
-because a butterfly has exactly two U-vertices). In RECEIPT CD ``S`` is
-all vertices in the current tip-number range and the floor is ``θ(i)``;
-in ParB ``S`` is the minimum-support vertices and the floor that minimum.
+because a butterfly has exactly two U-vertices. Spark computes only the
+decrements, with one self-join on the center vertex (the "message
+passing" round of the dataflow formulation). Applying them — the floor
+``max(θ, sup − d)`` and dropping vertices that are no longer in the
+state — is O(n) and happens on the driver, which owns the support state.
 
-The 2-hop propagation is one self-join on the center vertex — the
-"message passing" round of the dataflow formulation. Pair wedge counts
-between two surviving-or-just-peeled U vertices never change while U is
-peeled (only U-side vertices leave, and a wedge's center is in V), so
-counting pairs on the *current* structure is exact regardless of how
-much stale adjacency DGM has or hasn't compacted away.
+Pair wedge counts between two U vertices never change while U is peeled
+(only U-side vertices leave, and a wedge's center is in V), so counting
+pairs on the *current* structure is exact however much stale adjacency
+DGM has or hasn't compacted away. Stale entries only add rows for
+vertices peeled earlier (and pairs within ``S``), which the driver drops.
 """
 from __future__ import annotations
 
@@ -24,51 +24,26 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
-def batch_peel_round(
-    edges_cur: DataFrame,
-    remaining: DataFrame,
-    active_ids: DataFrame,
-    floor: int,
-) -> DataFrame:
-    """Apply one batched peel of ``active_ids`` to ``remaining``'s supports.
+def batch_peel_round(edges_cur: DataFrame, active_ids: DataFrame) -> DataFrame:
+    """Support decrements of one batched peel of ``active_ids`` (column ``u``).
 
-    ``remaining`` is the state *without* the active set — columns
-    ``(u, sup, ...)``; extra columns pass through untouched. Returns the
-    new state with ``sup = max(floor, sup - sum_{u in S} C(c_{u,u'}, 2))``.
+    Returns ``(u, d)`` with ``d = Σ_{u'∈S} C(c_{u',u}, 2)`` for every
+    ``u ≠ u'`` sharing a wedge with a peeled ``u'`` on ``edges_cur`` —
+    survivors, other members of ``S`` and stale earlier-peeled vertices
+    alike; the caller keeps the rows of the vertices it still holds.
     """
     peeled_edges = edges_cur.join(F.broadcast(active_ids), "u")
-    wedge_rows = (
-        peeled_edges.select(F.col("u").alias("up"), "v")
-        .join(edges_cur.select(F.col("u").alias("uo"), "v"), "v")
-        .where(F.col("uo") != F.col("up"))
-    )
-    # keep only updates targeting survivors: peeled-to-peeled butterflies
-    # are irrelevant (both subsets already decided), and stale adjacency
-    # entries (peeled earlier, pre-compaction) must not produce updates.
-    live = wedge_rows.join(
-        F.broadcast(remaining.select(F.col("u").alias("uo"))), "uo", "leftsemi"
-    )
-    delta = (
-        live.groupBy("up", "uo")
-        .agg(F.count("*").alias("c"))
-        .withColumn("bf", F.expr("c * (c - 1) div 2"))
-        .groupBy("uo")
-        .agg(F.sum("bf").alias("d"))
-        .withColumnRenamed("uo", "u")
-    )
     return (
-        remaining.join(delta, "u", "left")
-        .withColumn(
-            "sup",
-            F.greatest(
-                F.lit(int(floor)).cast("long"),
-                F.col("sup") - F.coalesce(F.col("d"), F.lit(0)),
-            ),
-        )
-        .drop("d")
+        peeled_edges.select(F.col("u").alias("up"), "v")
+        .join(edges_cur, "v")
+        .where(F.col("u") != F.col("up"))
+        .groupBy("up", "u")
+        .agg(F.count("*").alias("c"))
+        .groupBy("u")
+        .agg(F.sum(F.expr("c * (c - 1) div 2")).alias("d"))
     )
 
 
-def compact_edges(edges_cur: DataFrame, remaining: DataFrame) -> DataFrame:
-    """DGM compaction: drop edges of peeled vertices (paper §4.2)."""
-    return edges_cur.join(remaining.select("u"), "u", "leftsemi")
+def compact_edges(edges_cur: DataFrame, keep_ids: DataFrame) -> DataFrame:
+    """DGM compaction: keep only the edges of ``keep_ids`` (paper §4.2)."""
+    return edges_cur.join(keep_ids, "u", "leftsemi")

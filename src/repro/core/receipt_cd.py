@@ -13,11 +13,12 @@ HUC fires, full re-counting — runs as Spark dataflow; the O(n) vertex
 support state and the O(m) HUC/DGM *cost model* (degree sums) live on
 the driver, exactly as the paper keeps per-vertex/per-degree arrays in
 shared memory beside its parallel wedge traversal. A peel iteration is
-one synchronization round, not one Spark job: it ships the active and
-surviving ids to Spark (two ``createDataFrame`` calls) and collects the
-new supports (one ``toPandas``), and each of these can run several jobs;
-DGM and HUC add their own compaction and re-count jobs. ρ counts
-iterations, so it is independent of how many jobs each one takes.
+one synchronization round, not one Spark job: it ships the peeled ids to
+Spark (one ``createDataFrame``), collects their neighbors' support
+decrements (one ``toPandas``) and applies them, floored, to the driver's
+state; each transfer can run several jobs, and DGM and HUC add their own
+compaction and re-count jobs. ρ counts iterations, so it is independent
+of how many jobs each one takes.
 
 :class:`BatchPeeler` is the one peel loop: CD peels ranges from
 ``findHi``, and ParB (:mod:`repro.core.parb`) peels ranges one support
@@ -194,28 +195,34 @@ class BatchPeeler:
         """Propagate the peel of ``active`` to ``remaining`` (one 2-hop
         join), then compact the structure if DGM's budget is spent."""
         active_ids = self.spark.createDataFrame(active[["u"]])
-        remaining_sdf = self.spark.createDataFrame(remaining)
-        self.state = batch_peel_round(
-            self.edges, remaining_sdf, active_ids, floor=lo
-        ).toPandas()
+        delta = batch_peel_round(self.edges, active_ids).toPandas()
+        # the left merge keeps only vertices still in the state: rows for
+        # peeled ones (this round's or stale adjacency) fall away here
+        state = remaining.merge(delta.astype({"d": "Int64"}), "left", on="u")
+        d = state.pop("d").fillna(0).astype("int64")
+        state["sup"] = (state["sup"] - d).clip(lower=lo)
+        self.state = state
         self.cost.wedges_since += c_peel
         if self.dgm and self.cost.wedges_since > self.cost.m_struct:
-            keep_sdf = self.spark.createDataFrame(self.state[["u"]])
-            self.edges = compact_edges(self.edges, keep_sdf).localCheckpoint()
-            self.cost.compact()
+            self._compact(state["u"])
             self.dgm_compactions += 1
 
     def _recount(self, remaining: pd.DataFrame, lo: int) -> None:
         """HUC: re-count butterflies on the surviving graph instead."""
-        remaining_sdf = self.spark.createDataFrame(remaining[["u"]])
-        self.edges = compact_edges(self.edges, remaining_sdf).localCheckpoint()
-        self.cost.compact()
+        self._compact(remaining["u"])
         bc = counting.per_vertex_butterflies(self.edges)
         new_sup = bc.u_counts.rename(columns={"bcnt": "sup_new"})
         state = remaining.drop(columns=["sup"]).merge(new_sup, "left", on="u")
         state["sup"] = state["sup_new"].fillna(0).astype("int64").clip(lower=lo)
         self.state = state[["u", "sup"]]
         self.metrics.wedges += bc.wedges
+
+    def _compact(self, keep: pd.Series) -> None:
+        """Drop the edges of peeled vertices from the structure, keeping
+        those of ``keep`` (DGM, and before each HUC re-count)."""
+        keep_ids = self.spark.createDataFrame(keep.to_frame())
+        self.edges = compact_edges(self.edges, keep_ids).localCheckpoint()
+        self.cost.compact()
 
 
 def _iteration_bound(rounds: int) -> bool:

@@ -19,11 +19,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
 import pandas as pd
+from pyspark import cloudpickle
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core import kernel
+from repro.core.kernel import peel
 from repro.core.metrics import PhaseMetrics
+
+# ship the kernel's code with each FD task rather than importing it on the
+# executor, whose Python path need not hold this package
+cloudpickle.register_pickle_by_value(kernel)
 
 _OUT_SCHEMA = (
     "subset long, u long, tip long, "
@@ -44,12 +52,6 @@ def _make_fd_worker(dgm: bool):
     """Grouped-map worker: peel one induced subgraph sequentially."""
 
     def fd_worker(key, edf: pd.DataFrame, mdf: pd.DataFrame) -> pd.DataFrame:
-        # import inside the task: grouped-map workers run in fresh
-        # Python workers that must resolve repro on their own path
-        import numpy as np
-
-        from repro.core.kernel import peel
-
         subset = int(key[0])
         u_ids = mdf["u"].to_numpy()
         n_u = len(u_ids)

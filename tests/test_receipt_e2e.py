@@ -29,7 +29,7 @@ def test_flag_matrix(spark, huc, dgm):
     assert_tips_equal(ref, r.tips, f"huc={huc},dgm={dgm}")
 
 
-@pytest.mark.parametrize("p", [1, 2, 6, 40])
+@pytest.mark.parametrize("p", [0, 1, 2, 6, 40])
 def test_partition_counts(spark, p):
     pdf = SMALL_GRAPHS["paper"]()
     edges = spark.createDataFrame(pdf).localCheckpoint()

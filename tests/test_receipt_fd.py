@@ -1,5 +1,11 @@
 """Tests for fine-grained decomposition (alg. 4): independent per-subset
 peeling must reproduce sequential BUP exactly (theorem 2)."""
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pandas as pd
 import pytest
 
@@ -77,3 +83,42 @@ def test_fd_handles_edgeless_members(spark):
     )
     fd = receipt_fd(edges, membership)
     assert int(fd.tips.set_index("u").loc[999, "tip"]) == 7
+
+
+def test_fd_without_repro_on_executor_path(tmp_path):
+    """FD's tasks carry the peel kernel with them: a driver that only puts
+    ``src/`` on its own ``sys.path`` (no ``PYTHONPATH`` for the Python
+    workers) still gets exact tips — every vertex of K3,2 has tip 2."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.path.insert(0, {str(src)!r})
+        from repro.core.receipt import receipt
+        from repro.experiments.session import get_session
+
+        spark = get_session("fd-without-pythonpath")
+        edges = spark.createDataFrame(
+            [(u, v) for u in range(3) for v in range(2)], "u long, v long"
+        )
+        tips = receipt(edges, n_partitions=2).tips
+        spark.stop()
+        assert sorted(tips["u"]) == [0, 1, 2], tips
+        assert (tips["tip"] == 2).all(), tips
+        """
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update(
+        SPARK_MASTER="local[1]",
+        SPARK_SHUFFLE_PARTITIONS="2",
+        PYSPARK_SUBMIT_ARGS="--driver-memory 1g pyspark-shell",
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert run.returncode == 0, run.stderr[-3000:]
