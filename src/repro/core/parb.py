@@ -8,7 +8,7 @@ runs CD's peel loop (:class:`repro.core.receipt_cd.BatchPeeler`) on
 ranges one level wide, ``[min_sup, min_sup + 1)``, with HUC and DGM off.
 Supports are floored at that minimum, so the peel value is the tip
 number. The round count is the paper's ρ; a round is one batched update
-join, which takes several Spark jobs (see :mod:`repro.core.receipt_cd`).
+join, which takes two Spark jobs (see :mod:`repro.core.receipt_cd`).
 
 Because ρ for ParB is typically 100-1000x RECEIPT's (the paper's whole
 point), a full Spark run can exceed any reasonable local budget — mirror
@@ -63,10 +63,11 @@ def parb_spark(
 
     tips_acc: list[pd.DataFrame] = []
     finished = True
-    while finished and len(peeler.state):
-        m = int(peeler.state["sup"].min())
-        peeled, finished = peeler.peel_range(m, m + 1, out_of_budget)
-        tips_acc += [us.to_frame().assign(tip=m) for us in peeled]
+    with peeler:
+        while finished and len(peeler.state):
+            m = int(peeler.state["sup"].min())
+            peeled, finished = peeler.peel_range(m, m + 1, out_of_budget)
+            tips_acc += [us.to_frame().assign(tip=m) for us in peeled]
     tips = (
         pd.concat(tips_acc, ignore_index=True)
         if tips_acc

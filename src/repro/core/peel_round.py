@@ -7,10 +7,19 @@ updates to their 2-hop neighborhood: a ``u'`` sharing ``c`` wedges with a
 peeled ``u`` loses ``C(c, 2)`` (their shared butterflies) — alg. 2's
 ``update`` called for every ``u in S``; lemma 2 proves batch-safety
 because a butterfly has exactly two U-vertices. Spark computes only the
-decrements, with one self-join on the center vertex (the "message
-passing" round of the dataflow formulation). Applying them — the floor
+decrements, with one join on the center vertex (the "message passing"
+round of the dataflow formulation). Applying them — the floor
 ``max(θ, sup − d)`` and dropping vertices that are no longer in the
 state — is O(n) and happens on the driver, which owns the support state.
+
+The plan needs no shuffle. The peel loop caches its structure once,
+hash-partitioned by ``u``, and the peeled set's own edges ``(up, v)``
+come from the driver's mirror of the edge list, not from Spark. They are
+broadcast, so the join on ``v`` is a broadcast hash join that keeps the
+structure's partitioning, and both aggregations, keyed by ``(up, u)``
+and by ``u``, run inside the partitions. DGM's compaction is a broadcast
+semi-join filter of the cached structure, so it keeps the partitioning
+too and costs no job of its own.
 
 Pair wedge counts between two U vertices never change while U is peeled
 (only U-side vertices leave, and a wedge's center is in V), so counting
@@ -24,18 +33,18 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
-def batch_peel_round(edges_cur: DataFrame, active_ids: DataFrame) -> DataFrame:
-    """Support decrements of one batched peel of ``active_ids`` (column ``u``).
+def batch_peel_round(edges_cur: DataFrame, peeled_edges: DataFrame) -> DataFrame:
+    """Support decrements of one batched peel whose edges are
+    ``peeled_edges`` ``(up, v)``: every edge of the structure ``edges_cur``
+    ``(u, v)`` whose ``u`` is in the peeled set ``S``, renamed to ``up``.
 
     Returns ``(u, d)`` with ``d = Σ_{u'∈S} C(c_{u',u}, 2)`` for every
     ``u ≠ u'`` sharing a wedge with a peeled ``u'`` on ``edges_cur`` —
     survivors, other members of ``S`` and stale earlier-peeled vertices
     alike; the caller keeps the rows of the vertices it still holds.
     """
-    peeled_edges = edges_cur.join(F.broadcast(active_ids), "u")
     return (
-        peeled_edges.select(F.col("u").alias("up"), "v")
-        .join(edges_cur, "v")
+        edges_cur.join(F.broadcast(peeled_edges), "v")
         .where(F.col("u") != F.col("up"))
         .groupBy("up", "u")
         .agg(F.count("*").alias("c"))
@@ -45,5 +54,7 @@ def batch_peel_round(edges_cur: DataFrame, active_ids: DataFrame) -> DataFrame:
 
 
 def compact_edges(edges_cur: DataFrame, keep_ids: DataFrame) -> DataFrame:
-    """DGM compaction: keep only the edges of ``keep_ids`` (paper §4.2)."""
-    return edges_cur.join(keep_ids, "u", "leftsemi")
+    """DGM compaction: keep only the edges of ``keep_ids`` (paper §4.2),
+    as a broadcast semi-join filter that keeps ``edges_cur``'s
+    partitioning."""
+    return edges_cur.join(F.broadcast(keep_ids), "u", "leftsemi")

@@ -13,12 +13,16 @@ HUC fires, full re-counting — runs as Spark dataflow; the O(n) vertex
 support state and the O(m) HUC/DGM *cost model* (degree sums) live on
 the driver, exactly as the paper keeps per-vertex/per-degree arrays in
 shared memory beside its parallel wedge traversal. A peel iteration is
-one synchronization round, not one Spark job: it ships the peeled ids to
-Spark (one ``createDataFrame``), collects their neighbors' support
-decrements (one ``toPandas``) and applies them, floored, to the driver's
-state; each transfer can run several jobs, and DGM and HUC add their own
-compaction and re-count jobs. ρ counts iterations, so it is independent
-of how many jobs each one takes.
+one synchronization round, not one Spark job: it ships the peeled
+vertices' edges ``(up, v)``, read from the driver's mirror of the edge
+list, to Spark (one ``createDataFrame``), collects their neighbors'
+support decrements (one ``toPandas``) and applies them, floored, to the
+driver's state. The structure is cached once, hash-partitioned by ``u``,
+so the round's plan has no shuffle and runs in two Spark jobs. DGM's
+compaction is a lazy broadcast filter of that cache, so it adds no job;
+a HUC re-count counts on a ``localCheckpoint`` of the compacted
+structure, which keeps counting's own plan. ρ counts iterations, so it
+is independent of how many jobs each one takes.
 
 :class:`BatchPeeler` is the one peel loop: CD peels ranges from
 ``findHi``, and ParB (:mod:`repro.core.parb`) peels ranges one support
@@ -89,7 +93,8 @@ class _CostModel:
 
     def __init__(self, edges_pdf: pd.DataFrame):
         self.eu = edges_pdf["u"].to_numpy()
-        self.ev, self._v_ids = pd.factorize(edges_pdf["v"])
+        self.ev, v_ids = pd.factorize(edges_pdf["v"])
+        self._v_ids = v_ids.to_numpy()
         self.alive_edge = np.ones(len(self.eu), dtype=bool)  # u alive
         self.struct_edge = np.ones(len(self.eu), dtype=bool)  # in structure
         self.wedges_since = 0  # traversed since the last compaction (DGM)
@@ -102,11 +107,16 @@ class _CostModel:
         n_v = len(self._v_ids)
         self.dv_struct = np.bincount(self.ev[self.struct_edge], minlength=n_v)
 
-    def peel(self, us: pd.Series | np.ndarray) -> None:
-        """Mark vertices as peeled (their edges leave the alive graph)."""
-        peeled = set(np.asarray(us).tolist())
-        mask = pd.Series(self.eu).isin(peeled).to_numpy()
-        self.alive_edge &= ~mask
+    def edges_of(self, us: pd.Series | np.ndarray) -> np.ndarray:
+        """Mask of the structure's edges whose ``u`` is in ``us`` — built
+        once per round for C_peel, the peel and the shipped edges."""
+        sel = pd.Series(self.eu).isin(set(np.asarray(us).tolist())).to_numpy()
+        return sel & self.struct_edge
+
+    def peel(self, sel: np.ndarray) -> None:
+        """Mark the vertices of ``sel``'s edges as peeled (their edges
+        leave the alive graph)."""
+        self.alive_edge &= ~sel
 
     def compact(self) -> None:
         """Mirror a structure compaction (DGM / HUC re-count)."""
@@ -118,11 +128,14 @@ class _CostModel:
     def m_struct(self) -> int:
         return int(self.struct_edge.sum())
 
-    def peel_cost(self, us: pd.Series | np.ndarray) -> int:
-        """``C_peel = Σ_{u∈S} Σ_{v∈N_u^struct} d_v^struct``."""
-        sel = pd.Series(self.eu).isin(set(np.asarray(us).tolist())).to_numpy()
-        sel &= self.struct_edge
+    def peel_cost(self, sel: np.ndarray) -> int:
+        """``C_peel = Σ_{u∈S} Σ_{v∈N_u^struct} d_v^struct`` for ``sel =
+        edges_of(S)``."""
         return int(self.dv_struct[self.ev[sel]].sum())
+
+    def peeled_edges(self, sel: np.ndarray) -> pd.DataFrame:
+        """``sel``'s edges as ``(up, v)`` in original ids."""
+        return pd.DataFrame({"up": self.eu[sel], "v": self._v_ids[self.ev[sel]]})
 
     def recount_cost(self) -> int:
         """``C_rcnt = Σ_{(u,v) alive} min(d_u, d_v)`` on the alive graph."""
@@ -139,19 +152,33 @@ class _CostModel:
 class BatchPeeler:
     """Batch peeling of the ``u`` side on Spark: the structure, the
     driver-side support vector ``state`` ``(u, sup)`` of unpeeled
-    vertices, the cost model, and the counters of the rounds so far."""
+    vertices, the cost model, and the counters of the rounds so far.
+
+    ``base`` is the edge list hash-partitioned by ``u`` and cached, so a
+    round's plan needs no shuffle; the structure ``edges`` is ``base`` or
+    a filter of it. Use it as a context manager: leaving the block
+    releases the cache.
+    """
 
     def __init__(
         self, edges: DataFrame, sup: pd.DataFrame, *, huc: bool, dgm: bool
     ):
         self.spark = edges.sparkSession
-        self.edges = edges  # current structure, compacted by DGM and HUC
-        self.cost = _CostModel(edges.toPandas())
+        n = self.spark.sparkContext.defaultParallelism
+        self.base = edges.repartition(n, "u").persist()
+        self.edges = self.base  # current structure, compacted by DGM and HUC
+        self.cost = _CostModel(self.base.toPandas())  # fills the cache
         self.state = sup.astype({"sup": "int64"})
         self.huc, self.dgm = huc, dgm
         self.metrics = PhaseMetrics()
         self.huc_recounts = 0
         self.dgm_compactions = 0
+
+    def __enter__(self) -> BatchPeeler:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.base.unpersist()
 
     def peel_range(
         self, lo: int, hi: int, stop: Callable[[int], bool]
@@ -175,8 +202,9 @@ class BatchPeeler:
             self.metrics.rounds += 1
             active, remaining = state[in_range], state[~in_range]
             peeled.append(active["u"])
-            c_peel = self.cost.peel_cost(active["u"])
-            self.cost.peel(active["u"])
+            sel = self.cost.edges_of(active["u"])
+            c_peel = self.cost.peel_cost(sel)
+            self.cost.peel(sel)
             recount = self.huc and c_peel > self.cost.recount_cost()
             if recount:
                 self.huc_recounts += 1
@@ -187,15 +215,16 @@ class BatchPeeler:
             elif recount:
                 self._recount(remaining, lo)
             else:
-                self._update(active, remaining, lo, c_peel)
+                self._update(sel, remaining, lo, c_peel)
 
     def _update(
-        self, active: pd.DataFrame, remaining: pd.DataFrame, lo: int, c_peel: int
+        self, sel: np.ndarray, remaining: pd.DataFrame, lo: int, c_peel: int
     ) -> None:
-        """Propagate the peel of ``active`` to ``remaining`` (one 2-hop
-        join), then compact the structure if DGM's budget is spent."""
-        active_ids = self.spark.createDataFrame(active[["u"]])
-        delta = batch_peel_round(self.edges, active_ids).toPandas()
+        """Propagate the peel of the vertices of ``sel``'s edges to
+        ``remaining`` (one 2-hop join), then compact the structure if
+        DGM's budget is spent."""
+        peeled_edges = self.spark.createDataFrame(self.cost.peeled_edges(sel))
+        delta = batch_peel_round(self.edges, peeled_edges).toPandas()
         # the left merge keeps only vertices still in the state: rows for
         # peeled ones (this round's or stale adjacency) fall away here
         state = remaining.merge(delta.astype({"d": "Int64"}), "left", on="u")
@@ -210,7 +239,9 @@ class BatchPeeler:
     def _recount(self, remaining: pd.DataFrame, lo: int) -> None:
         """HUC: re-count butterflies on the surviving graph instead."""
         self._compact(remaining["u"])
-        bc = counting.per_vertex_butterflies(self.edges)
+        # counted on a checkpoint: on the u-partitioned filter of the
+        # cache, counting's self-joins plan more jobs
+        bc = counting.per_vertex_butterflies(self.edges.localCheckpoint())
         new_sup = bc.u_counts.rename(columns={"bcnt": "sup_new"})
         state = remaining.drop(columns=["sup"]).merge(new_sup, "left", on="u")
         state["sup"] = state["sup_new"].fillna(0).astype("int64").clip(lower=lo)
@@ -219,9 +250,11 @@ class BatchPeeler:
 
     def _compact(self, keep: pd.Series) -> None:
         """Drop the edges of peeled vertices from the structure, keeping
-        those of ``keep`` (DGM, and before each HUC re-count)."""
+        those of ``keep`` (DGM, and before each HUC re-count). A lazy
+        filter of ``base``, not of the last structure, so plans do not
+        chain."""
         keep_ids = self.spark.createDataFrame(keep.to_frame())
-        self.edges = compact_edges(self.edges, keep_ids).localCheckpoint()
+        self.edges = compact_edges(self.base, keep_ids)
         self.cost.compact()
 
 
@@ -265,24 +298,25 @@ def receipt_cd(
     members_acc: list[pd.DataFrame] = []
     s_prev = 1.0
     i = 1
-    while i <= n_partitions and len(peeler.state):
-        state = peeler.state
-        w = state["u"].map(w0)
-        tgt = s_prev * float(w.sum()) / (n_partitions - i + 1)
-        hi = _find_hi(state["sup"], w, tgt)
-        snap = state[["u", "sup"]].rename(columns={"sup": "init_sup"})
-        peeled, _ = peeler.peel_range(lo, hi, _iteration_bound)
-        if peeled:
-            mem = pd.concat(peeled, ignore_index=True).to_frame().merge(snap, on="u")
-            mem["subset"] = i
-            members_acc.append(mem)
-            covered_w = int(mem["u"].map(w0).sum())
-            s_prev = min(1.0, tgt / covered_w) if covered_w > 0 else 1.0
-        else:
-            s_prev = 1.0
-        ranges.append(hi)
-        lo = hi
-        i += 1
+    with peeler:
+        while i <= n_partitions and len(peeler.state):
+            state = peeler.state
+            w = state["u"].map(w0)
+            tgt = s_prev * float(w.sum()) / (n_partitions - i + 1)
+            hi = _find_hi(state["sup"], w, tgt)
+            snap = state[["u", "sup"]].rename(columns={"sup": "init_sup"})
+            peeled, _ = peeler.peel_range(lo, hi, _iteration_bound)
+            if peeled:
+                mem = pd.concat(peeled, ignore_index=True).to_frame().merge(snap, on="u")
+                mem["subset"] = i
+                members_acc.append(mem)
+                covered_w = int(mem["u"].map(w0).sum())
+                s_prev = min(1.0, tgt / covered_w) if covered_w > 0 else 1.0
+            else:
+                s_prev = 1.0
+            ranges.append(hi)
+            lo = hi
+            i += 1
     # leftovers after P ranges form subset P+1 (paper §3.1.1)
     state = peeler.state
     if len(state):

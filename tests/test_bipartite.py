@@ -118,7 +118,7 @@ def test_peel_cost_counts_oracle(small_graph):
     cost = _CostModel(pdf)
     us = pdf["u"].unique()
     got = edges.sparkSession.createDataFrame(
-        pd.DataFrame({"u": us, "c": [cost.peel_cost([u]) for u in us]})
+        pd.DataFrame({"u": us, "c": [cost.peel_cost(cost.edges_of([u])) for u in us]})
     )
     assert_equivalent(
         got,
@@ -165,11 +165,15 @@ def test_cost_model_brute_force(name):
     cost = _CostModel(pdf)
 
     def check(struct, alive, peel_set):
-        got = (cost.peel_cost(sorted(peel_set)), cost.recount_cost(), cost.m_struct)
+        got = (
+            cost.peel_cost(cost.edges_of(sorted(peel_set))),
+            cost.recount_cost(),
+            cost.m_struct,
+        )
         assert got == _brute_costs(struct, alive, peel_set)
 
     check(edges, edges, first)
-    cost.peel(sorted(first))
+    cost.peel(cost.edges_of(sorted(first)))
     alive = [(u, v) for u, v in edges if u not in first]
     check(edges, alive, second)
     cost.compact()

@@ -1,6 +1,7 @@
 """Tests for one batched peel round (lemma 2): Spark's decrements against
-a pure-Python count of shared butterflies, and the driver-side update
-that applies them."""
+a pure-Python count of shared butterflies, the driver-side update that
+applies them, and the round's physical plan on the peel loop's cached
+structure."""
 import pandas as pd
 import pytest
 
@@ -31,10 +32,15 @@ def _expected_decrements(pdf, peeled: set, survivors: set) -> dict[int, int]:
     return out
 
 
+def _peeled_edges(pdf, peeled) -> pd.DataFrame:
+    """The peeled set's edges as ``(up, v)``."""
+    return pdf[pdf["u"].isin(peeled)].rename(columns={"u": "up"})
+
+
 def _decrements(spark, pdf, peeled) -> pd.DataFrame:
     edges = spark.createDataFrame(pdf)
-    active = spark.createDataFrame(pd.DataFrame({"u": sorted(peeled)}, dtype="int64"))
-    return batch_peel_round(edges, active).toPandas()
+    peeled_edges = spark.createDataFrame(_peeled_edges(pdf, peeled))
+    return batch_peel_round(edges, peeled_edges).toPandas()
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
@@ -69,12 +75,46 @@ def test_stale_adjacency_gets_no_state_row(spark):
 
     per_u, _, _ = brute_force_vertex_butterflies(pdf)
     sup = pd.DataFrame({"u": list(per_u), "sup": list(per_u.values())}, dtype="int64")
-    peeler = BatchPeeler(spark.createDataFrame(pdf), sup, huc=False, dgm=False)
-    state = peeler.state
-    active = state[state["u"].isin(peeled)]
-    remaining = state[state["u"].isin(survivors)]
-    peeler._update(active, remaining, lo, c_peel=0)
+    with BatchPeeler(spark.createDataFrame(pdf), sup, huc=False, dgm=False) as peeler:
+        state = peeler.state
+        remaining = state[state["u"].isin(survivors)]
+        peeler._update(peeler.cost.edges_of(sorted(peeled)), remaining, lo, c_peel=0)
 
     got = dict(zip(peeler.state["u"], peeler.state["sup"]))
     assert set(got) == survivors
     assert got == {u: max(lo, per_u[u] - want.get(u, 0)) for u in survivors}
+
+
+def test_round_plan_has_no_shuffle(spark):
+    """On the peel loop's cached structure, hash-partitioned by ``u``, a
+    round joins the shipped peeled edges by broadcast and aggregates
+    inside the partitions: its executed plan adds no hash exchange, and
+    it runs at most two Spark jobs."""
+    pdf = SMALL_GRAPHS["rnd1"]()
+    us = sorted(int(u) for u in pdf["u"].unique())
+    peeled = set(us[::3])
+    survivors = set(us) - peeled
+    sup = pd.DataFrame({"u": us, "sup": 0})
+    sc = spark.sparkContext
+    with BatchPeeler(spark.createDataFrame(pdf), sup, huc=False, dgm=False) as peeler:
+        round_df = batch_peel_round(
+            peeler.base, spark.createDataFrame(_peeled_edges(pdf, peeled))
+        )
+        group = "test_round_plan_has_no_shuffle"
+        sc.setJobGroup(group, "one peel round")
+        try:
+            delta = round_df.toPandas()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        jobs = sc.statusTracker().getJobIdsForGroup(group)
+        plan = round_df._jdf.queryExecution().executedPlan().toString()
+    got = {int(u): int(d) for u, d in delta.itertuples(index=False) if d and u in survivors}
+    assert got == _expected_decrements(pdf, peeled, survivors)
+    # the only shuffle is the one that built the cache (REPARTITION_BY_NUM),
+    # none is added for the join or the aggregations
+    shuffles = [
+        ln for ln in plan.splitlines() if "Exchange" in ln and "BroadcastExchange" not in ln
+    ]
+    assert all("hashpartitioning(u#" in ln and "REPARTITION_BY_NUM" in ln for ln in shuffles), plan
+    assert "BroadcastHashJoin" in plan, plan
+    assert 1 <= len(jobs) <= 2, jobs

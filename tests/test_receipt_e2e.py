@@ -1,12 +1,18 @@
 """End-to-end RECEIPT vs sequential BUP (theorem 2) across datasets,
-partition counts, optimization flags and both sides."""
+partition counts, optimization flags and both sides; invariance of the
+Spark decompositions under id relabeling, and the peel loop's cache
+released after every run."""
+import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.bup import bup
+from repro.core.parb import parb_spark
 from repro.core.receipt import receipt
+from repro.core.receipt_cd import BatchPeeler
 from repro.experiments import datasets
 
-from .conftest import SMALL_GRAPHS, assert_tips_equal
+from .conftest import SMALL_GRAPHS, assert_tips_equal, random_pdf
 
 ALL_DATASETS = sorted(datasets.NAMES)
 
@@ -64,3 +70,58 @@ def test_complete_bipartite(spark):
     edges = spark.createDataFrame(SMALL_GRAPHS["k45"]()).localCheckpoint()
     r = receipt(edges, n_partitions=2)
     assert (r.tips["tip"] == 3 * 10).all()  # (a-1) * C(b,2) with a=4,b=5
+
+
+DECOMPOSERS = {
+    "receipt": lambda edges: receipt(edges, n_partitions=3).tips,
+    "parb_spark": lambda edges: parb_spark(edges)[0],
+}
+
+
+@pytest.mark.parametrize("algo", sorted(DECOMPOSERS))
+def test_relabeling_invariance(spark, algo):
+    """Tips do not depend on vertex ids: permuting U and V into huge ids
+    (near 2^62, so their hash placement differs) and mapping the tips
+    back gives the same tips, equal to BUP's."""
+    pdf = random_pdf(25, 15, 100, seed=4)
+    rng = np.random.default_rng(5)
+
+    def huge(ids: np.ndarray) -> dict:
+        return dict(zip(ids, 2**62 + rng.permutation(len(ids)) * 1_000_003))
+
+    u_map, v_map = huge(pdf["u"].unique()), huge(pdf["v"].unique())
+    relabeled = pd.DataFrame({"u": pdf["u"].map(u_map), "v": pdf["v"].map(v_map)})
+    decompose = DECOMPOSERS[algo]
+    want = decompose(spark.createDataFrame(pdf))
+    got = decompose(spark.createDataFrame(relabeled.astype("int64")))
+    back = {big: u for u, big in u_map.items()}
+    assert_tips_equal(want, got.assign(u=got["u"].map(back)), f"{algo} relabeled")
+    assert_tips_equal(bup(pdf)[0], want, algo)
+
+
+def test_peel_cache_released(spark):
+    """The peel loop's cached structure is released when ``receipt()``
+    and ``parb_spark()`` return, when ParB stops on its round budget, and
+    when the loop raises."""
+    cache = spark._jsparkSession.sharedState().cacheManager()
+    spark.catalog.clearCache()
+    pdf = SMALL_GRAPHS["rnd1"]()
+    edges = spark.createDataFrame(pdf)
+
+    receipt(edges, n_partitions=3)
+    assert cache.isEmpty()
+    parb_spark(edges)
+    assert cache.isEmpty()
+    _, met = parb_spark(edges, max_rounds=2)
+    assert not met.completed
+    assert cache.isEmpty()
+
+    def fail(rounds: int) -> bool:
+        raise RuntimeError("stop")
+
+    sup = pd.DataFrame({"u": pdf["u"].unique(), "sup": 0})
+    with pytest.raises(RuntimeError, match="stop"):
+        with BatchPeeler(edges, sup, huc=False, dgm=False) as peeler:
+            assert not cache.isEmpty()
+            peeler.peel_range(0, 1, fail)
+    assert cache.isEmpty()
