@@ -35,7 +35,7 @@ print("counts:", bg.counts(edges))
 # numpy vs spark counting
 n_u, n_v, eu, ev, u_ids, _ = edges_to_numpy(edges)
 bu, _, total, w = count_butterflies_np(n_u, n_v, eu, ev)
-bc = counting.per_vertex_butterflies(edges)
+bc = counting.per_vertex_butterflies(edges, edges.toPandas())
 su = bc.u_counts.sort_values("u").reset_index(drop=True)
 np_u = pd.DataFrame({"u": u_ids, "bcnt": bu}).sort_values("u").reset_index(drop=True)
 assert (su["bcnt"].to_numpy() == np_u["bcnt"].to_numpy()).all(), "u counts mismatch"

@@ -17,20 +17,26 @@ them runs — the same-side one when ``u`` pairs are enumerated, the
 opposite-side one when ``v`` pairs are — and its result is collected to
 the driver once, inside this call.
 
+The caller passes the driver's mirror of the edge list (pandas ``(u, v)``,
+the same edges as the Spark frame), as the paper keeps its per-vertex
+arrays in shared memory beside the wedge traversal. The side choice
+comes from the mirror's degrees, counted with NumPy, and the zero-fill
+for ``u`` vertices without butterflies is a pandas ``reindex`` over the
+mirror's ``u`` ids. Spark runs only the self-join roll-up.
+
 Wedge accounting: the number of *enumerated* wedges is
-``sum_center C(d_center, 2)`` for the chosen side (computed
-analytically — identical to the self-join row count for a deduplicated
-edge list). Table 3's Λ^pvBcnt column reports this value.
+``sum_center C(d_center, 2)`` for the chosen side (computed from the
+mirror's degrees — identical to the self-join row count for a
+deduplicated edge list). Table 3's Λ^pvBcnt column reports this value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-
-from repro.graph import bipartite as bg
 
 
 @dataclass
@@ -45,12 +51,20 @@ class ButterflyCounts:
     wedges: int
 
 
+def _wedges_centered(ids: np.ndarray) -> int:
+    """``Σ_c C(d_c, 2)`` over the vertices ``c`` listed (with repeats,
+    one per edge) in ``ids``."""
+    d = np.unique(ids, return_counts=True)[1]
+    return int((d * (d - 1) // 2).sum())
+
+
 def per_vertex_butterflies(
-    edges: DataFrame, enumerate_side: str = "auto"
+    edges: DataFrame, mirror: pd.DataFrame, enumerate_side: str = "auto"
 ) -> ButterflyCounts:
-    """Count butterflies per ``u`` vertex of ``edges``."""
-    wu = bg.side_wedge_total(edges, "u")  # wedges with endpoints in U
-    wv = bg.side_wedge_total(edges, "v")
+    """Count butterflies per ``u`` vertex of ``edges``; ``mirror`` is the
+    same edge list as pandas ``(u, v)``."""
+    wu = _wedges_centered(mirror["v"].to_numpy())  # wedges with endpoints in U
+    wv = _wedges_centered(mirror["u"].to_numpy())
     if enumerate_side == "auto":
         enumerate_side = "u" if wu <= wv else "v"
     if enumerate_side == "u":
@@ -78,18 +92,22 @@ def per_vertex_butterflies(
             .groupBy(F.col("c0").alias("u"))
             .agg(F.sum(F.col("c") - 1).alias("bcnt"))
         )
+    u_ids = pd.Index(pd.unique(mirror["u"]), name="u")
     u_counts = (
-        edges.select("u")
-        .distinct()
-        .join(counts, "u", "left")
-        .select("u", F.coalesce("bcnt", F.lit(0)).cast("long").alias("bcnt"))
-        .toPandas()
+        counts.toPandas()
+        .set_index("u")["bcnt"]
+        .reindex(u_ids, fill_value=0)
+        .astype("int64")
+        .reset_index()
     )
     return ButterflyCounts(u_counts=u_counts, wedges=wedges)
 
 
-def support_init(edges: DataFrame) -> tuple[pd.DataFrame, ButterflyCounts]:
-    """Initial peel-side supports, pandas ``(u, sup)``, plus the counts."""
-    bc = per_vertex_butterflies(edges)
+def support_init(
+    edges: DataFrame, mirror: pd.DataFrame
+) -> tuple[pd.DataFrame, ButterflyCounts]:
+    """Initial peel-side supports, pandas ``(u, sup)``, plus the counts;
+    ``mirror`` is ``edges`` as pandas ``(u, v)``."""
+    bc = per_vertex_butterflies(edges, mirror)
     sup = bc.u_counts.rename(columns={"bcnt": "sup"})
     return sup, bc

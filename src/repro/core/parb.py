@@ -49,9 +49,10 @@ def parb_spark(
     oriented = bg.orient(edges, side).distinct().localCheckpoint()
 
     t0 = time.perf_counter()
-    sup, bc = counting.support_init(oriented)
+    mirror = oriented.toPandas()  # the driver's one copy of the edge list
+    sup, bc = counting.support_init(oriented, mirror)
     t1 = time.perf_counter()
-    peeler = BatchPeeler(oriented, sup, huc=False, dgm=False)
+    peeler = BatchPeeler(oriented, mirror, sup, huc=False, dgm=False)
 
     start = time.perf_counter()
 

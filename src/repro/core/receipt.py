@@ -50,12 +50,13 @@ def receipt(
     met = ReceiptMetrics()
 
     t0 = time.perf_counter()
-    sup, bc = counting.support_init(oriented)
+    mirror = oriented.toPandas()  # the driver's one copy of the edge list
+    sup, bc = counting.support_init(oriented, mirror)
     met.count = PhaseMetrics(
         seconds=time.perf_counter() - t0, wedges=bc.wedges, rounds=0
     )
 
-    cd = receipt_cd(oriented, sup, n_partitions, huc=huc, dgm=dgm)
+    cd = receipt_cd(oriented, mirror, sup, n_partitions, huc=huc, dgm=dgm)
     met.cd = cd.metrics
     met.huc_recounts = cd.huc_recounts
     met.dgm_compactions = cd.dgm_compactions

@@ -19,10 +19,12 @@ list, to Spark (one ``createDataFrame``), collects their neighbors'
 support decrements (one ``toPandas``) and applies them, floored, to the
 driver's state. The structure is cached once, hash-partitioned by ``u``,
 so the round's plan has no shuffle and runs in two Spark jobs. DGM's
-compaction is a lazy broadcast filter of that cache, so it adds no job;
-a HUC re-count counts on a ``localCheckpoint`` of the compacted
-structure, which keeps counting's own plan. ρ counts iterations, so it
-is independent of how many jobs each one takes.
+compaction is a lazy broadcast filter of that cache, so it adds no job.
+The mirror is the edge list the caller collected once on entry (the
+same one counting read). A HUC re-count compacts the same way, then
+counts the surviving edges, taken from the mirror and shipped with one
+``createDataFrame``. ρ counts iterations, so it is independent of how
+many jobs each one takes.
 
 :class:`BatchPeeler` is the one peel loop: CD peels ranges from
 ``findHi``, and ParB (:mod:`repro.core.parb`) peels ranges one support
@@ -88,12 +90,12 @@ class _CostModel:
     Tracks which peel-side vertices are alive and which edges are still
     present in the *structure* (stale until a DGM/HUC compaction, like
     the paper's CSR). All quantities are exact NumPy reductions over the
-    collected edge list — no Spark job.
+    collected edge list ``mirror`` — no Spark job.
     """
 
-    def __init__(self, edges_pdf: pd.DataFrame):
-        self.eu = edges_pdf["u"].to_numpy()
-        self.ev, v_ids = pd.factorize(edges_pdf["v"])
+    def __init__(self, mirror: pd.DataFrame):
+        self.eu = mirror["u"].to_numpy()
+        self.ev, v_ids = pd.factorize(mirror["v"])
         self._v_ids = v_ids.to_numpy()
         self.alive_edge = np.ones(len(self.eu), dtype=bool)  # u alive
         self.struct_edge = np.ones(len(self.eu), dtype=bool)  # in structure
@@ -137,6 +139,11 @@ class _CostModel:
         """``sel``'s edges as ``(up, v)`` in original ids."""
         return pd.DataFrame({"up": self.eu[sel], "v": self._v_ids[self.ev[sel]]})
 
+    def struct_edges(self) -> pd.DataFrame:
+        """The structure's edges as ``(u, v)`` in original ids — after
+        :meth:`compact`, exactly the alive graph."""
+        return self.peeled_edges(self.struct_edge).rename(columns={"up": "u"})
+
     def recount_cost(self) -> int:
         """``C_rcnt = Σ_{(u,v) alive} min(d_u, d_v)`` on the alive graph."""
         eu_a = self.eu[self.alive_edge]
@@ -154,20 +161,27 @@ class BatchPeeler:
     driver-side support vector ``state`` ``(u, sup)`` of unpeeled
     vertices, the cost model, and the counters of the rounds so far.
 
-    ``base`` is the edge list hash-partitioned by ``u`` and cached, so a
-    round's plan needs no shuffle; the structure ``edges`` is ``base`` or
-    a filter of it. Use it as a context manager: leaving the block
-    releases the cache.
+    ``base`` is the edge list hash-partitioned by ``u`` and cached (the
+    first round fills it), so a round's plan needs no shuffle; the
+    structure ``edges`` is ``base`` or a filter of it. ``mirror`` is the
+    same edge list as pandas ``(u, v)``. Use it as a context manager:
+    leaving the block releases the cache.
     """
 
     def __init__(
-        self, edges: DataFrame, sup: pd.DataFrame, *, huc: bool, dgm: bool
+        self,
+        edges: DataFrame,
+        mirror: pd.DataFrame,
+        sup: pd.DataFrame,
+        *,
+        huc: bool,
+        dgm: bool,
     ):
         self.spark = edges.sparkSession
         n = self.spark.sparkContext.defaultParallelism
         self.base = edges.repartition(n, "u").persist()
         self.edges = self.base  # current structure, compacted by DGM and HUC
-        self.cost = _CostModel(self.base.toPandas())  # fills the cache
+        self.cost = _CostModel(mirror)
         self.state = sup.astype({"sup": "int64"})
         self.huc, self.dgm = huc, dgm
         self.metrics = PhaseMetrics()
@@ -239,9 +253,10 @@ class BatchPeeler:
     def _recount(self, remaining: pd.DataFrame, lo: int) -> None:
         """HUC: re-count butterflies on the surviving graph instead."""
         self._compact(remaining["u"])
-        # counted on a checkpoint: on the u-partitioned filter of the
-        # cache, counting's self-joins plan more jobs
-        bc = counting.per_vertex_butterflies(self.edges.localCheckpoint())
+        # counted on the surviving edges shipped from the mirror: on the
+        # u-partitioned filter of the cache, counting plans more jobs
+        mirror = self.cost.struct_edges()
+        bc = counting.per_vertex_butterflies(self.spark.createDataFrame(mirror), mirror)
         new_sup = bc.u_counts.rename(columns={"bcnt": "sup_new"})
         state = remaining.drop(columns=["sup"]).merge(new_sup, "left", on="u")
         state["sup"] = state["sup_new"].fillna(0).astype("int64").clip(lower=lo)
@@ -279,6 +294,7 @@ def _find_hi(sup: pd.Series, w0: pd.Series, tgt: float) -> int:
 
 def receipt_cd(
     edges: DataFrame,
+    mirror: pd.DataFrame,
     sup: pd.DataFrame,
     n_partitions: int,
     *,
@@ -287,11 +303,13 @@ def receipt_cd(
 ) -> CDResult:
     """Run coarse decomposition of the ``u`` side of ``edges``.
 
-    ``sup`` is the initial support, pandas ``(u, sup)`` from counting
-    (one row per peel-side vertex). ``edges`` must already be oriented.
+    ``edges`` must already be oriented and deduplicated; ``mirror`` is
+    the same edge list as pandas ``(u, v)``. ``sup`` is the initial
+    support, pandas ``(u, sup)`` from counting (one row per peel-side
+    vertex).
     """
     t0 = time.perf_counter()
-    peeler = BatchPeeler(edges, sup, huc=huc, dgm=dgm)
+    peeler = BatchPeeler(edges, mirror, sup, huc=huc, dgm=dgm)
     w0 = peeler.cost.w0
     ranges = [0]
     lo = 0

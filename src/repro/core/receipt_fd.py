@@ -53,6 +53,9 @@ def _make_fd_worker(dgm: bool):
 
     def fd_worker(key, edf: pd.DataFrame, mdf: pd.DataFrame) -> pd.DataFrame:
         subset = int(key[0])
+        # the kernel peels one vertex a round, breaking ties by position:
+        # order by id so Λ does not depend on the plan's row order
+        mdf = mdf.sort_values("u")
         u_ids = mdf["u"].to_numpy()
         n_u = len(u_ids)
         sup0 = mdf["init_sup"].to_numpy()

@@ -18,11 +18,12 @@ from repro.graph import bipartite as bg
 def dataset_stats(spark: SparkSession, name: str, scale: str | float = "bench") -> dict:
     """One Table 2 row for a dataset at a scale."""
     edges = datasets.load(spark, name, scale)
+    pdf = edges.toPandas()
     n_u, n_v, m = bg.counts(edges)
-    bc = per_vertex_butterflies(edges)
+    bc = per_vertex_butterflies(edges, pdf)
     wedges_g = bg.side_wedge_total(edges, "u") + bg.side_wedge_total(edges, "v")
-    tips_u, _ = bup(edges, side="u")
-    tips_v, _ = bup(edges, side="v")
+    tips_u, _ = bup(pdf, side="u")
+    tips_v, _ = bup(pdf, side="v")
     return {
         "name": name,
         "U": n_u,

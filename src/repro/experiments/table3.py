@@ -64,14 +64,15 @@ def run_side(
     from repro.graph import bipartite as bg
 
     oriented = bg.orient(edges, side).localCheckpoint()
+    mirror = oriented.toPandas()
 
     t0 = time.perf_counter()
-    bc = per_vertex_butterflies(oriented)
+    bc = per_vertex_butterflies(oriented, mirror)
     t_pvbcnt = time.perf_counter() - t0
 
-    tips_bup, m_bup = bup(oriented)
+    tips_bup, m_bup = bup(mirror)
 
-    tips_sim, m_sim = parb_simulate(oriented)
+    tips_sim, m_sim = parb_simulate(mirror)
     assert_tips_equal(tips_bup, tips_sim, "parb_simulate")
     t_parb: float | None = None
     if parb_spark_enabled:

@@ -55,7 +55,7 @@ def test_u_counts_oracle(small_graph):
     and opposite-side (``v`` pairs enumerated)."""
     edges, pdf = small_graph
     for enumerate_side in ("u", "v"):
-        bc = per_vertex_butterflies(edges, enumerate_side=enumerate_side)
+        bc = per_vertex_butterflies(edges, pdf, enumerate_side=enumerate_side)
         assert_equivalent(bc.u_counts, U_COUNT_SQL, edges=pdf)
 
 
@@ -63,13 +63,13 @@ def test_v_counts_oracle(small_graph):
     """The opposite-side roll-up (``v`` pairs enumerated) against its own
     DuckDB formula, ``c - 1`` per centered wedge."""
     edges, pdf = small_graph
-    bc = per_vertex_butterflies(edges, enumerate_side="v")
+    bc = per_vertex_butterflies(edges, pdf, enumerate_side="v")
     assert_equivalent(bc.u_counts, U_CENTER_COUNT_SQL, edges=pdf)
 
 
 def test_matches_numpy(small_graph):
     edges, pdf = small_graph
-    bc = per_vertex_butterflies(edges)
+    bc = per_vertex_butterflies(edges, pdf)
     n_u, n_v, eu, ev, u_ids, _ = edges_to_numpy(pdf)
     bu, _, _, _ = count_butterflies_np(n_u, n_v, eu, ev)
     got_u = bc.u_counts.set_index("u")["bcnt"]
@@ -79,7 +79,7 @@ def test_matches_numpy(small_graph):
 
 def test_sum_identity(small_graph):
     edges, pdf = small_graph
-    bc = per_vertex_butterflies(edges)
+    bc = per_vertex_butterflies(edges, pdf)
     _, _, total = brute_force_vertex_butterflies(pdf)
     assert int(bc.u_counts["bcnt"].sum()) == 2 * total
 
@@ -88,8 +88,8 @@ def test_sum_identity(small_graph):
 def test_enumeration_side_invariance(spark, forced):
     pdf = SMALL_GRAPHS["paper"]()
     edges = spark.createDataFrame(pdf)
-    auto = per_vertex_butterflies(edges)
-    forced_bc = per_vertex_butterflies(edges, enumerate_side=forced)
+    auto = per_vertex_butterflies(edges, pdf)
+    forced_bc = per_vertex_butterflies(edges, pdf, enumerate_side=forced)
     pd.testing.assert_frame_equal(
         auto.u_counts.sort_values("u").reset_index(drop=True),
         forced_bc.u_counts.sort_values("u").reset_index(drop=True),
@@ -99,21 +99,45 @@ def test_enumeration_side_invariance(spark, forced):
 def test_auto_picks_cheaper_side(spark):
     pdf = SMALL_GRAPHS["rnd2"]()  # 30 U x 10 V: sides differ
     edges = spark.createDataFrame(pdf)
-    bc = per_vertex_butterflies(edges)
+    bc = per_vertex_butterflies(edges, pdf)
     wu = bg.side_wedge_total(edges, "u")
     wv = bg.side_wedge_total(edges, "v")
     assert bc.wedges == min(wu, wv)
+    # each roll-up reports the wedges of the side it enumerates
+    for side, want in (("u", wu), ("v", wv)):
+        assert per_vertex_butterflies(edges, pdf, enumerate_side=side).wedges == want
 
 
 def test_rejects_bad_side(spark):
-    edges = spark.createDataFrame(SMALL_GRAPHS["star"]())
+    pdf = SMALL_GRAPHS["star"]()
     with pytest.raises(ValueError):
-        per_vertex_butterflies(edges, enumerate_side="x")
+        per_vertex_butterflies(spark.createDataFrame(pdf), pdf, enumerate_side="x")
+
+
+@pytest.mark.parametrize("name", ["paper", "rnd2"])
+def test_count_job_budget(spark, name):
+    """The driver's mirror gives the side totals and the zero-fill, so a
+    count runs only the self-join roll-up and its collect: at most five
+    Spark jobs through either roll-up, on the checkpointed frame the
+    pipeline counts on."""
+    pdf = SMALL_GRAPHS[name]()
+    edges = spark.createDataFrame(pdf).localCheckpoint()
+    sc = spark.sparkContext
+    for enumerate_side in ("u", "v"):
+        group = f"test_count_job_budget-{name}-{enumerate_side}"
+        sc.setJobGroup(group, "one count")
+        try:
+            bc = per_vertex_butterflies(edges, pdf, enumerate_side=enumerate_side)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        jobs = sc.statusTracker().getJobIdsForGroup(group)
+        assert_equivalent(bc.u_counts, U_COUNT_SQL, edges=pdf)
+        assert 1 <= len(jobs) <= 5, (enumerate_side, jobs)
 
 
 def test_support_init_covers_all_u(small_graph):
     edges, pdf = small_graph
-    sup, _ = support_init(edges)
+    sup, _ = support_init(edges, pdf)
     _, _, total = brute_force_vertex_butterflies(pdf)
     assert set(sup["u"]) == set(pdf["u"])
     assert (sup["sup"] >= 0).all()

@@ -7,17 +7,17 @@ import pytest
 
 from repro.core.bup import bup
 from repro.core.counting import support_init
-from repro.core.receipt_cd import receipt_cd
+from repro.core.receipt_cd import BatchPeeler, receipt_cd
 from repro.graph import bipartite as bg
 
-from .conftest import SMALL_GRAPHS, random_pdf
+from .conftest import SMALL_GRAPHS, brute_force_vertex_butterflies, random_pdf
 
 
 def _run_cd(spark, pdf, P=3, **kw):
     edges = spark.createDataFrame(pdf).localCheckpoint()
     oriented = bg.orient(edges, "u")
-    sup, _ = support_init(oriented)
-    return receipt_cd(oriented, sup, P, **kw)
+    sup, _ = support_init(oriented, pdf)
+    return receipt_cd(oriented, pdf, sup, P, **kw)
 
 
 def _pair_shared_butterflies(pdf) -> dict:
@@ -121,3 +121,37 @@ def test_huc_fires_on_wedge_heavy_graph(spark):
     cd_off = _run_cd(spark, pdf, huc=False, dgm=False)
     assert cd.huc_recounts > 0
     assert cd.metrics.wedges < cd_off.metrics.wedges
+
+
+def _wedge_totals(pdf) -> tuple[int, int]:
+    """``(Σ_v C(d_v, 2), Σ_u C(d_u, 2))``: the wedges with endpoints in U
+    and in V."""
+    du, dv = pdf.groupby("u").size(), pdf.groupby("v").size()
+    return int((dv * (dv - 1) // 2).sum()), int((du * (du - 1) // 2).sum())
+
+
+@pytest.mark.parametrize("dgm", [False, True])
+def test_recount_matches_brute_force_on_survivors(spark, dgm):
+    """A HUC re-count after an update round counts the surviving subgraph
+    from the driver's mirror: the supports it sets are that subgraph's
+    butterflies, and the Λ it adds is ``min(wu, wv)`` of that subgraph.
+    Without DGM the structure is stale when the re-count starts."""
+    pdf = random_pdf(30, 12, 120, seed=6)
+    per_u, _, _ = brute_force_vertex_butterflies(pdf)
+    sup = pd.DataFrame({"u": list(per_u), "sup": list(per_u.values())}, dtype="int64")
+    edges = spark.createDataFrame(pdf).localCheckpoint()
+    with BatchPeeler(edges, pdf, sup, huc=False, dgm=dgm) as peeler:
+        # an update round, then a round whose re-count is forced
+        peeler.peel_range(0, int(sup["sup"].quantile(0.3)), lambda r: r >= 1)
+        wedges_before = peeler.metrics.wedges
+        peeler.huc = True
+        peeler.cost.recount_cost = lambda: -1
+        hi = int(peeler.state["sup"].quantile(0.4))
+        peeler.peel_range(0, hi, lambda r: r >= 2)
+        state = peeler.state
+    assert peeler.metrics.rounds == 2 and peeler.huc_recounts == 1
+    survivors = pdf[pdf["u"].isin(state["u"])]
+    assert 0 < len(survivors) < len(pdf)
+    want, _, _ = brute_force_vertex_butterflies(survivors)
+    assert dict(zip(state["u"], state["sup"])) == want
+    assert peeler.metrics.wedges - wedges_before == min(_wedge_totals(survivors))

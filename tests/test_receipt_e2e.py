@@ -121,7 +121,7 @@ def test_peel_cache_released(spark):
 
     sup = pd.DataFrame({"u": pdf["u"].unique(), "sup": 0})
     with pytest.raises(RuntimeError, match="stop"):
-        with BatchPeeler(edges, sup, huc=False, dgm=False) as peeler:
+        with BatchPeeler(edges, pdf, sup, huc=False, dgm=False) as peeler:
             assert not cache.isEmpty()
             peeler.peel_range(0, 1, fail)
     assert cache.isEmpty()

@@ -27,7 +27,7 @@ def test_single_subset_equals_bup(spark):
     sequential BUP — isolates FD from CD."""
     pdf = SMALL_GRAPHS["rnd1"]()
     edges = _oriented(spark, pdf)
-    sup, _ = support_init(edges)
+    sup, _ = support_init(edges, pdf)
     membership = sup.rename(columns={"sup": "init_sup"})
     membership["subset"] = 1
     fd = receipt_fd(edges, membership)
@@ -39,8 +39,8 @@ def test_single_subset_equals_bup(spark):
 def test_after_cd_equals_bup(spark, name, dgm):
     pdf = SMALL_GRAPHS[name]()
     edges = _oriented(spark, pdf)
-    sup, _ = support_init(edges)
-    cd = receipt_cd(edges, sup, 3)
+    sup, _ = support_init(edges, pdf)
+    cd = receipt_cd(edges, pdf, sup, 3)
     fd = receipt_fd(edges, cd.membership, dgm=dgm)
     assert_tips_equal(bup(pdf)[0], fd.tips, f"{name}-dgm{dgm}")
 
@@ -48,8 +48,8 @@ def test_after_cd_equals_bup(spark, name, dgm):
 def test_subset_stats_cover_membership(spark):
     pdf = SMALL_GRAPHS["rnd3"]()
     edges = _oriented(spark, pdf)
-    sup, _ = support_init(edges)
-    cd = receipt_cd(edges, sup, 4)
+    sup, _ = support_init(edges, pdf)
+    cd = receipt_cd(edges, pdf, sup, 4)
     fd = receipt_fd(edges, cd.membership)
     assert int(fd.subset_stats["sub_size"].sum()) == len(cd.membership)
     assert set(fd.subset_stats["subset"]) == set(cd.membership["subset"])
@@ -62,11 +62,34 @@ def test_induced_subgraphs_traverse_fewer_wedges(spark):
     wedges than the full graph."""
     pdf = SMALL_GRAPHS["rnd2"]()
     edges = _oriented(spark, pdf)
-    sup, _ = support_init(edges)
-    cd = receipt_cd(edges, sup, 4)
+    sup, _ = support_init(edges, pdf)
+    cd = receipt_cd(edges, pdf, sup, 4)
     fd = receipt_fd(edges, cd.membership)
     _, m_bup = bup(pdf)
     assert fd.metrics.wedges <= m_bup.wedges
+
+
+def test_fd_independent_of_membership_order(spark):
+    """FD peels one vertex a round and breaks support ties by position,
+    and DGM's compactions make the wedges a peel traverses depend on that
+    order. The paper-like graph has tied supports (u0/u1, u3/u4): its
+    membership rows in any order give the same tips and the same Λ."""
+    pdf = SMALL_GRAPHS["paper"]()
+    edges = _oriented(spark, pdf)
+    sup, _ = support_init(edges, pdf)
+    membership = sup.rename(columns={"sup": "init_sup"}).assign(subset=1)
+    membership = membership.sort_values("u", ignore_index=True)
+    orders = {
+        "sorted": membership,
+        "reversed": membership.iloc[::-1].reset_index(drop=True),
+        "shuffled": membership.sample(frac=1, random_state=0, ignore_index=True),
+    }
+    runs = {k: receipt_fd(edges, m) for k, m in orders.items()}
+    want = bup(pdf)[0]
+    for k, fd in runs.items():
+        assert_tips_equal(want, fd.tips, k)
+    wedges = {k: fd.metrics.wedges for k, fd in runs.items()}
+    assert len(set(wedges.values())) == 1, wedges
 
 
 def test_fd_handles_edgeless_members(spark):
