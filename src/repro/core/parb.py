@@ -6,9 +6,11 @@ one synchronization. ParB and RECEIPT CD apply the same batch update
 (lemma 2) and differ only in the support range a round peels, so ParB
 runs CD's peel loop (:class:`repro.core.receipt_cd.BatchPeeler`) on
 ranges one level wide, ``[min_sup, min_sup + 1)``, with HUC and DGM off.
-Supports are floored at that minimum, so the peel value is the tip
-number. The round count is the paper's ρ; a round is one batched update
-join, which takes two Spark jobs (see :mod:`repro.core.receipt_cd`).
+Supports are floored at that minimum and frozen when a vertex is peeled,
+so the tips are the peeler's support array over its peeled vertices,
+``sup[~alive]`` (indexed by ``u`` code, like all its driver state). The
+round count is the paper's ρ; a round is one batched update join, which
+takes two Spark jobs (see :mod:`repro.core.receipt_cd`).
 
 Because ρ for ParB is typically 100-1000x RECEIPT's (the paper's whole
 point), a full Spark run can exceed any reasonable local budget — mirror
@@ -62,24 +64,19 @@ def parb_spark(
             and time.perf_counter() - start > time_budget_s
         )
 
-    tips_acc: list[pd.DataFrame] = []
+    alive = peeler.cost.alive
     finished = True
     with peeler:
-        while finished and len(peeler.state):
-            m = int(peeler.state["sup"].min())
-            peeled, finished = peeler.peel_range(m, m + 1, out_of_budget)
-            tips_acc += [us.to_frame().assign(tip=m) for us in peeled]
-    tips = (
-        pd.concat(tips_acc, ignore_index=True)
-        if tips_acc
-        else pd.DataFrame(columns=["u", "tip"])
-    )
+        while finished and alive.any():
+            m = int(peeler.sup[alive].min())
+            finished = peeler.peel_range(m, m + 1, out_of_budget)
+    tips = pd.DataFrame({"u": peeler.cost.u_ids[~alive], "tip": peeler.sup[~alive]})
     met = BaselineMetrics(
         seconds=time.perf_counter() - start,
         wedges=peeler.metrics.wedges,
         rounds=peeler.metrics.rounds,
         count_seconds=t1 - t0,
         count_wedges=bc.wedges,
-        completed=peeler.state.empty,
+        completed=not alive.any(),
     )
     return tips, met

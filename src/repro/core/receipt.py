@@ -63,7 +63,7 @@ def receipt(
 
     fd = receipt_fd(oriented, cd.membership, dgm=dgm)
     met.fd = fd.metrics
-    met.p_effective = int(cd.membership["subset"].nunique()) if len(cd.membership) else 0
+    met.p_effective = int(cd.membership["subset"].nunique())
     met.subset_sizes = fd.subset_stats["sub_size"].tolist()
     met.subset_wedges_induced = fd.subset_stats["sub_wedges"].tolist()
 

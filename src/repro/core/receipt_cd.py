@@ -17,10 +17,14 @@ one synchronization round, not one Spark job: it ships the peeled
 vertices' edges ``(up, v)``, read from the driver's mirror of the edge
 list, to Spark (one ``createDataFrame``), collects their neighbors'
 support decrements (one ``toPandas``) and applies them, floored, to the
-driver's state. The structure is cached once, hash-partitioned by ``u``,
-so the round's plan has no shuffle and runs in two Spark jobs. DGM's
-compaction is a lazy broadcast filter of that cache, so it adds no job.
-The mirror is the edge list the caller collected once on entry (the
+driver's state. That state is NumPy arrays over one factorization of the
+mirror's ``u`` ids (the supports, the alive mask, ``findHi``'s weights,
+CD's output), so original ids appear only where data crosses to or from
+Spark: the shipped edges, a compaction's keep-ids and the collected
+decrements or re-counts. The structure is cached once, hash-partitioned
+by ``u``, so the round's plan has no shuffle and runs in two Spark jobs.
+DGM's compaction is a lazy broadcast filter of that cache, so it adds no
+job. The mirror is the edge list the caller collected once on entry (the
 same one counting read). A HUC re-count compacts the same way, then
 counts the surviving edges, taken from the mirror and shipped with one
 ``createDataFrame``. ρ counts iterations, so it is independent of how
@@ -87,42 +91,43 @@ class CDResult:
 class _CostModel:
     """Driver-side mirror of the edge list for HUC/DGM cost accounting.
 
-    Tracks which peel-side vertices are alive and which edges are still
-    present in the *structure* (stale until a DGM/HUC compaction, like
-    the paper's CSR). All quantities are exact NumPy reductions over the
-    collected edge list ``mirror`` — no Spark job.
+    Both sides are factorized once: ``eu``/``ev`` are the edges' vertex
+    codes, and ``u_ids`` (a pandas ``Index``) maps a ``u`` code back to
+    its original id. Every per-vertex quantity of the peel loop is a
+    NumPy array indexed by ``u`` code. ``alive`` marks the peel-side
+    vertices not yet peeled (the loop clears it in place), and
+    ``struct_edge`` the edges still present in the *structure* (stale
+    until a DGM/HUC compaction, like the paper's CSR). All quantities are
+    exact NumPy reductions over the collected edge list ``mirror`` — no
+    Spark job.
     """
 
     def __init__(self, mirror: pd.DataFrame):
-        self.eu = mirror["u"].to_numpy()
+        self.eu, self.u_ids = pd.factorize(mirror["u"])
         self.ev, v_ids = pd.factorize(mirror["v"])
         self._v_ids = v_ids.to_numpy()
-        self.alive_edge = np.ones(len(self.eu), dtype=bool)  # u alive
+        self.alive = np.ones(len(self.u_ids), dtype=bool)
         self.struct_edge = np.ones(len(self.eu), dtype=bool)  # in structure
         self.wedges_since = 0  # traversed since the last compaction (DGM)
         self._refresh_struct_degrees()
         #: static ``w0[u] = Σ_{v∈N_u} (d_v - 1)``, wedges with endpoint u
-        #: (``findHi``'s weights), indexed by u
-        self.w0 = pd.Series(self.dv_struct[self.ev] - 1).groupby(self.eu).sum()
+        #: (``findHi``'s weights)
+        self.w0 = np.bincount(
+            self.eu, self.dv_struct[self.ev] - 1, minlength=len(self.u_ids)
+        ).astype(np.int64)
 
     def _refresh_struct_degrees(self) -> None:
         n_v = len(self._v_ids)
         self.dv_struct = np.bincount(self.ev[self.struct_edge], minlength=n_v)
 
-    def edges_of(self, us: pd.Series | np.ndarray) -> np.ndarray:
-        """Mask of the structure's edges whose ``u`` is in ``us`` — built
-        once per round for C_peel, the peel and the shipped edges."""
-        sel = pd.Series(self.eu).isin(set(np.asarray(us).tolist())).to_numpy()
-        return sel & self.struct_edge
-
-    def peel(self, sel: np.ndarray) -> None:
-        """Mark the vertices of ``sel``'s edges as peeled (their edges
-        leave the alive graph)."""
-        self.alive_edge &= ~sel
+    def edges_of(self, us: np.ndarray) -> np.ndarray:
+        """Mask of the structure's edges whose ``u`` is in the vertex mask
+        ``us`` — built once per round for C_peel and the shipped edges."""
+        return us[self.eu] & self.struct_edge
 
     def compact(self) -> None:
         """Mirror a structure compaction (DGM / HUC re-count)."""
-        self.struct_edge = self.alive_edge.copy()
+        self.struct_edge = self.alive[self.eu]
         self._refresh_struct_degrees()
         self.wedges_since = 0
 
@@ -137,7 +142,9 @@ class _CostModel:
 
     def peeled_edges(self, sel: np.ndarray) -> pd.DataFrame:
         """``sel``'s edges as ``(up, v)`` in original ids."""
-        return pd.DataFrame({"up": self.eu[sel], "v": self._v_ids[self.ev[sel]]})
+        return pd.DataFrame(
+            {"up": self.u_ids.to_numpy()[self.eu[sel]], "v": self._v_ids[self.ev[sel]]}
+        )
 
     def struct_edges(self) -> pd.DataFrame:
         """The structure's edges as ``(u, v)`` in original ids — after
@@ -146,21 +153,32 @@ class _CostModel:
 
     def recount_cost(self) -> int:
         """``C_rcnt = Σ_{(u,v) alive} min(d_u, d_v)`` on the alive graph."""
-        eu_a = self.eu[self.alive_edge]
-        ev_a = self.ev[self.alive_edge]
-        if not len(eu_a):
-            return 0
-        codes, _ = pd.factorize(eu_a)
-        du = np.bincount(codes)
+        alive_edge = self.alive[self.eu]
+        eu_a, ev_a = self.eu[alive_edge], self.ev[alive_edge]
+        du = np.bincount(eu_a, minlength=len(self.u_ids))
         dv = np.bincount(ev_a, minlength=len(self._v_ids))
-        return int(np.minimum(du[codes], dv[ev_a]).sum())
+        return int(np.minimum(du[eu_a], dv[ev_a]).sum())
+
+    def to_codes(self, ids: pd.Series, values: pd.Series) -> np.ndarray:
+        """``values`` keyed by the original ids ``ids`` (each one of the
+        mirror's ``u``), as an array over ``u`` codes; codes without a row
+        get 0."""
+        codes = self.u_ids.get_indexer(ids)
+        if (codes < 0).any():
+            raise ValueError("ids outside the edge list's u side")
+        out = np.zeros(len(self.u_ids), dtype=np.int64)
+        out[codes] = values
+        return out
 
 
 class BatchPeeler:
     """Batch peeling of the ``u`` side on Spark: the structure, the
-    driver-side support vector ``state`` ``(u, sup)`` of unpeeled
-    vertices, the cost model, and the counters of the rounds so far.
+    driver-side support array ``sup``, the cost model, and the counters
+    of the rounds so far.
 
+    ``sup`` is indexed by the cost model's ``u`` codes, like its
+    ``alive`` mask. A vertex's support is frozen when it is peeled, so
+    ``sup[~cost.alive]`` holds the value each peeled vertex left with.
     ``base`` is the edge list hash-partitioned by ``u`` and cached (the
     first round fills it), so a round's plan needs no shuffle; the
     structure ``edges`` is ``base`` or a filter of it. ``mirror`` is the
@@ -182,7 +200,7 @@ class BatchPeeler:
         self.base = edges.repartition(n, "u").persist()
         self.edges = self.base  # current structure, compacted by DGM and HUC
         self.cost = _CostModel(mirror)
-        self.state = sup.astype({"sup": "int64"})
+        self.sup = self.cost.to_codes(sup["u"], sup["sup"])
         self.huc, self.dgm = huc, dgm
         self.metrics = PhaseMetrics()
         self.huc_recounts = 0
@@ -194,82 +212,72 @@ class BatchPeeler:
     def __exit__(self, *exc) -> None:
         self.base.unpersist()
 
-    def peel_range(
-        self, lo: int, hi: int, stop: Callable[[int], bool]
-    ) -> tuple[list[pd.Series], bool]:
+    def peel_range(self, lo: int, hi: int, stop: Callable[[int], bool]) -> bool:
         """Peel every vertex whose support is in ``[lo, hi)``, round by
         round with floor ``lo``, until none is left.
 
         ``stop(rounds)`` is asked before each round with the rounds done
         so far; when it returns True the range is left unfinished.
-        Returns the ids peeled in each round and whether the range was
-        finished.
+        Returns whether the range was finished; the vertices it peeled
+        are the ones it cleared in ``cost.alive``.
         """
-        peeled: list[pd.Series] = []
+        alive = self.cost.alive
         while True:
-            state = self.state
-            in_range = (state["sup"] >= lo) & (state["sup"] < hi)
-            if not in_range.any():
-                return peeled, True
+            active = alive & (self.sup >= lo) & (self.sup < hi)
+            if not active.any():
+                return True
             if stop(self.metrics.rounds):
-                return peeled, False
+                return False
             self.metrics.rounds += 1
-            active, remaining = state[in_range], state[~in_range]
-            peeled.append(active["u"])
-            sel = self.cost.edges_of(active["u"])
+            sel = self.cost.edges_of(active)
             c_peel = self.cost.peel_cost(sel)
-            self.cost.peel(sel)
+            alive[active] = False
             recount = self.huc and c_peel > self.cost.recount_cost()
             if recount:
                 self.huc_recounts += 1
             else:
                 self.metrics.wedges += c_peel
-            if remaining.empty:
-                self.state = remaining
-            elif recount:
-                self._recount(remaining, lo)
+            if not alive.any():
+                continue
+            if recount:
+                self._recount(lo)
             else:
-                self._update(sel, remaining, lo, c_peel)
+                self._update(sel, lo, c_peel)
 
-    def _update(
-        self, sel: np.ndarray, remaining: pd.DataFrame, lo: int, c_peel: int
-    ) -> None:
-        """Propagate the peel of the vertices of ``sel``'s edges to
-        ``remaining`` (one 2-hop join), then compact the structure if
+    def _update(self, sel: np.ndarray, lo: int, c_peel: int) -> None:
+        """Propagate the peel of the vertices of ``sel``'s edges to the
+        alive vertices (one 2-hop join), then compact the structure if
         DGM's budget is spent."""
         peeled_edges = self.spark.createDataFrame(self.cost.peeled_edges(sel))
         delta = batch_peel_round(self.edges, peeled_edges).toPandas()
-        # the left merge keeps only vertices still in the state: rows for
-        # peeled ones (this round's or stale adjacency) fall away here
-        state = remaining.merge(delta.astype({"d": "Int64"}), "left", on="u")
-        d = state.pop("d").fillna(0).astype("int64")
-        state["sup"] = (state["sup"] - d).clip(lower=lo)
-        self.state = state
+        # rows of peeled vertices (this round's or stale adjacency) land
+        # on dead codes, which are never read again
+        d = self.cost.to_codes(delta["u"], delta["d"])
+        alive = self.cost.alive
+        self.sup[alive] = np.maximum(lo, self.sup[alive] - d[alive])
         self.cost.wedges_since += c_peel
         if self.dgm and self.cost.wedges_since > self.cost.m_struct:
-            self._compact(state["u"])
+            self._compact()
             self.dgm_compactions += 1
 
-    def _recount(self, remaining: pd.DataFrame, lo: int) -> None:
+    def _recount(self, lo: int) -> None:
         """HUC: re-count butterflies on the surviving graph instead."""
-        self._compact(remaining["u"])
+        self._compact()
         # counted on the surviving edges shipped from the mirror: on the
         # u-partitioned filter of the cache, counting plans more jobs
         mirror = self.cost.struct_edges()
         bc = counting.per_vertex_butterflies(self.spark.createDataFrame(mirror), mirror)
-        new_sup = bc.u_counts.rename(columns={"bcnt": "sup_new"})
-        state = remaining.drop(columns=["sup"]).merge(new_sup, "left", on="u")
-        state["sup"] = state["sup_new"].fillna(0).astype("int64").clip(lower=lo)
-        self.state = state[["u", "sup"]]
+        new_sup = self.cost.to_codes(bc.u_counts["u"], bc.u_counts["bcnt"])
+        alive = self.cost.alive
+        self.sup[alive] = np.maximum(lo, new_sup[alive])
         self.metrics.wedges += bc.wedges
 
-    def _compact(self, keep: pd.Series) -> None:
-        """Drop the edges of peeled vertices from the structure, keeping
-        those of ``keep`` (DGM, and before each HUC re-count). A lazy
-        filter of ``base``, not of the last structure, so plans do not
-        chain."""
-        keep_ids = self.spark.createDataFrame(keep.to_frame())
-        self.edges = compact_edges(self.base, keep_ids)
+    def _compact(self) -> None:
+        """Drop the edges of peeled vertices from the structure (DGM, and
+        before each HUC re-count). A lazy filter of ``base``, not of the
+        last structure, so plans do not chain."""
+        keep = pd.DataFrame({"u": self.cost.u_ids[self.cost.alive]})
+        self.edges = compact_edges(self.base, self.spark.createDataFrame(keep))
         self.cost.compact()
 
 
@@ -279,17 +287,15 @@ def _iteration_bound(rounds: int) -> bool:
     return False
 
 
-def _find_hi(sup: pd.Series, w0: pd.Series, tgt: float) -> int:
+def _find_hi(sup: np.ndarray, w0: np.ndarray, tgt: float) -> int:
     """Paper's ``findHi``: smallest support whose cumulative wedge count
     reaches ``tgt``, plus one. Falls back to "peel everything" when the
     remaining wedge mass cannot reach the target (incl. the all-zero
     case, where supports can never change again)."""
-    hist = w0.groupby(sup.to_numpy()).sum()
-    cum = hist.cumsum()
-    reach = cum[cum >= max(tgt, 1)]
-    if len(reach):
-        return int(reach.index[0]) + 1
-    return int(hist.index[-1]) + 1
+    levels, level = np.unique(sup, return_inverse=True)
+    cum = np.cumsum(np.bincount(level, w0))
+    reach = np.flatnonzero(cum >= max(tgt, 1))
+    return int(levels[reach[0] if len(reach) else -1]) + 1
 
 
 def receipt_cd(
@@ -306,49 +312,42 @@ def receipt_cd(
     ``edges`` must already be oriented and deduplicated; ``mirror`` is
     the same edge list as pandas ``(u, v)``. ``sup`` is the initial
     support, pandas ``(u, sup)`` from counting (one row per peel-side
-    vertex).
+    vertex, in any order).
     """
     t0 = time.perf_counter()
     peeler = BatchPeeler(edges, mirror, sup, huc=huc, dgm=dgm)
-    w0 = peeler.cost.w0
+    cost = peeler.cost
+    alive, w0 = cost.alive, cost.w0
+    # per u code: the subset it joins and its support when that subset's
+    # range began (⋈_init)
+    subset = np.zeros(len(w0), dtype=np.int64)
+    init_sup = np.zeros(len(w0), dtype=np.int64)
     ranges = [0]
     lo = 0
-    members_acc: list[pd.DataFrame] = []
     s_prev = 1.0
     i = 1
     with peeler:
-        while i <= n_partitions and len(peeler.state):
-            state = peeler.state
-            w = state["u"].map(w0)
-            tgt = s_prev * float(w.sum()) / (n_partitions - i + 1)
-            hi = _find_hi(state["sup"], w, tgt)
-            snap = state[["u", "sup"]].rename(columns={"sup": "init_sup"})
-            peeled, _ = peeler.peel_range(lo, hi, _iteration_bound)
-            if peeled:
-                mem = pd.concat(peeled, ignore_index=True).to_frame().merge(snap, on="u")
-                mem["subset"] = i
-                members_acc.append(mem)
-                covered_w = int(mem["u"].map(w0).sum())
-                s_prev = min(1.0, tgt / covered_w) if covered_w > 0 else 1.0
-            else:
-                s_prev = 1.0
+        while i <= n_partitions and alive.any():
+            tgt = s_prev * float(w0[alive].sum()) / (n_partitions - i + 1)
+            hi = _find_hi(peeler.sup[alive], w0[alive], tgt)
+            was_alive, snap = alive.copy(), peeler.sup.copy()
+            peeler.peel_range(lo, hi, _iteration_bound)
+            peeled = was_alive & ~alive
+            subset[peeled] = i
+            init_sup[peeled] = snap[peeled]
+            covered_w = int(w0[peeled].sum())
+            s_prev = min(1.0, tgt / covered_w) if covered_w > 0 else 1.0
             ranges.append(hi)
             lo = hi
             i += 1
     # leftovers after P ranges form subset P+1 (paper §3.1.1)
-    state = peeler.state
-    if len(state):
-        mem = state.rename(columns={"sup": "init_sup"})[["u", "init_sup"]].copy()
-        mem["subset"] = i
-        members_acc.append(mem)
-        ranges.append(int(state["sup"].max()) + 1)
-    membership = (
-        pd.concat(members_acc, ignore_index=True)[["u", "init_sup", "subset"]]
-        if members_acc
-        else pd.DataFrame(columns=["u", "init_sup", "subset"])
+    if alive.any():
+        subset[alive] = i
+        init_sup[alive] = peeler.sup[alive]
+        ranges.append(int(peeler.sup[alive].max()) + 1)
+    membership = pd.DataFrame(
+        {"u": cost.u_ids.to_numpy(), "init_sup": init_sup, "subset": subset}
     )
-    for c in ("u", "init_sup", "subset"):
-        membership[c] = membership[c].astype("int64")
     peeler.metrics.seconds = time.perf_counter() - t0
     return CDResult(
         membership=membership,

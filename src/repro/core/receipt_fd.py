@@ -61,10 +61,9 @@ def _make_fd_worker(dgm: bool):
         sup0 = mdf["init_sup"].to_numpy()
         if len(edf):
             eu = pd.Categorical(edf["u"], categories=u_ids).codes.astype(np.int64)
-            ev_codes, _ = pd.factorize(edf["v"])
+            ev_codes, v_ids = pd.factorize(edf["v"])
             ev = ev_codes.astype(np.int64)
-            n_v = int(ev.max()) + 1 if len(ev) else 0
-            tips, st = peel(n_u, n_v, eu, ev, sup0, batch=False, dgm=dgm)
+            tips, st = peel(n_u, len(v_ids), eu, ev, sup0, batch=False, dgm=dgm)
             wedges, rounds, dgms = st.wedges, st.rounds, st.dgm_compactions
         else:
             # members without edges cannot share butterflies: tips = init

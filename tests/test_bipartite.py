@@ -89,9 +89,9 @@ def test_vertex_wedge_counts_oracle(small_graph):
     """CD's static ``w0[u] = sum_{v in N_u} (d_v - 1)``, computed on the
     driver by the cost model."""
     edges, pdf = small_graph
-    w0 = _CostModel(pdf).w0
+    cost = _CostModel(pdf)
     got = edges.sparkSession.createDataFrame(
-        pd.DataFrame({"u": w0.index, "w": w0.to_numpy()})
+        pd.DataFrame({"u": cost.u_ids, "w": cost.w0})
     )
     assert_equivalent(
         got,
@@ -118,7 +118,7 @@ def test_peel_cost_counts_oracle(small_graph):
     cost = _CostModel(pdf)
     us = pdf["u"].unique()
     got = edges.sparkSession.createDataFrame(
-        pd.DataFrame({"u": us, "c": [cost.peel_cost(cost.edges_of([u])) for u in us]})
+        pd.DataFrame({"u": us, "c": [cost.peel_cost(cost.edges_of(cost.u_ids == u)) for u in us]})
     )
     assert_equivalent(
         got,
@@ -157,7 +157,7 @@ def _brute_costs(struct, alive, peel_set):
 @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
 def test_cost_model_brute_force(name):
     """``_CostModel``'s C_peel, C_rcnt and |E_struct| before peeling,
-    after ``peel()`` (structure stale) and after ``compact()``."""
+    after peeling (structure stale) and after ``compact()``."""
     pdf = SMALL_GRAPHS[name]()
     edges = list(pdf.itertuples(index=False, name=None))
     us = sorted(pdf["u"].unique())
@@ -166,14 +166,14 @@ def test_cost_model_brute_force(name):
 
     def check(struct, alive, peel_set):
         got = (
-            cost.peel_cost(cost.edges_of(sorted(peel_set))),
+            cost.peel_cost(cost.edges_of(cost.u_ids.isin(peel_set))),
             cost.recount_cost(),
             cost.m_struct,
         )
         assert got == _brute_costs(struct, alive, peel_set)
 
     check(edges, edges, first)
-    cost.peel(cost.edges_of(sorted(first)))
+    cost.alive[cost.u_ids.isin(first)] = False
     alive = [(u, v) for u, v in edges if u not in first]
     check(edges, alive, second)
     cost.compact()

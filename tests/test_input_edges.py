@@ -44,5 +44,6 @@ def test_empty_edge_frame(spark, entry):
     edges = spark.createDataFrame([], "u long, v long")
     tips, rho, wedges = ENTRY_POINTS[entry](edges)
     assert tips.empty
+    assert (tips.dtypes[["u", "tip"]] == "int64").all(), tips.dtypes
     assert rho == 0
     assert wedges == 0

@@ -64,7 +64,8 @@ def test_decrements_match_shared_butterflies(spark, name):
 def test_stale_adjacency_gets_no_state_row(spark):
     """On a structure that still holds the edges of an earlier-peeled
     vertex, the round reports a decrement for it; the driver's update
-    drops that row and floors the survivors' supports."""
+    never applies that row (it lands on a peeled vertex's code) and floors
+    the survivors' supports."""
     pdf = SMALL_GRAPHS["paper"]()
     earlier, peeled, lo = {0}, {1}, 4
     survivors = set(pdf["u"].unique().tolist()) - earlier - peeled
@@ -76,13 +77,17 @@ def test_stale_adjacency_gets_no_state_row(spark):
     per_u, _, _ = brute_force_vertex_butterflies(pdf)
     sup = pd.DataFrame({"u": list(per_u), "sup": list(per_u.values())}, dtype="int64")
     with BatchPeeler(spark.createDataFrame(pdf), pdf, sup, huc=False, dgm=False) as peeler:
-        state = peeler.state
-        remaining = state[state["u"].isin(survivors)]
-        peeler._update(peeler.cost.edges_of(sorted(peeled)), remaining, lo, c_peel=0)
+        cost = peeler.cost
+        cost.alive[cost.u_ids.isin(earlier | peeled)] = False
+        peeler._update(cost.edges_of(cost.u_ids.isin(peeled)), lo, c_peel=0)
 
-    got = dict(zip(peeler.state["u"], peeler.state["sup"]))
+    alive = cost.alive
+    got = dict(zip(cost.u_ids[alive], peeler.sup[alive]))
     assert set(got) == survivors
     assert got == {u: max(lo, per_u[u] - want.get(u, 0)) for u in survivors}
+    assert dict(zip(cost.u_ids[~alive], peeler.sup[~alive])) == {
+        u: per_u[u] for u in earlier | peeled
+    }
 
 
 def _run_in_group(sc, group: str, df) -> tuple[pd.DataFrame, list, str]:

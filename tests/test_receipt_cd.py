@@ -2,6 +2,7 @@
 (lemmas 3-4), ⋈_init semantics, adaptive partitioning invariants."""
 from itertools import combinations
 
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -94,6 +95,26 @@ def test_membership_invariant_under_optimizations(spark, huc, dgm):
     )
 
 
+def test_supports_aligned_by_id(spark):
+    """CD reads the initial supports by vertex id, not by row position:
+    the same rows sorted, reversed and shuffled give the same partition,
+    ranges and Λ."""
+    pdf = SMALL_GRAPHS["rnd2"]()
+    oriented = bg.orient(spark.createDataFrame(pdf).localCheckpoint(), "u")
+    sup, _ = support_init(oriented, pdf)
+    sup = sup.sort_values("u")
+    orders = (sup, sup.iloc[::-1], sup.sample(frac=1, random_state=0))
+    runs = [receipt_cd(oriented, pdf, s.reset_index(drop=True), 3) for s in orders]
+    first = runs[0]
+    for cd in runs[1:]:
+        pd.testing.assert_frame_equal(
+            first.membership.sort_values("u").reset_index(drop=True),
+            cd.membership.sort_values("u").reset_index(drop=True),
+        )
+        assert cd.ranges == first.ranges
+        assert cd.metrics.wedges == first.metrics.wedges
+
+
 def test_p_one_single_subset(spark):
     pdf = SMALL_GRAPHS["paper"]()
     cd = _run_cd(spark, pdf, P=1)
@@ -146,12 +167,13 @@ def test_recount_matches_brute_force_on_survivors(spark, dgm):
         wedges_before = peeler.metrics.wedges
         peeler.huc = True
         peeler.cost.recount_cost = lambda: -1
-        hi = int(peeler.state["sup"].quantile(0.4))
+        alive = peeler.cost.alive
+        hi = int(np.quantile(peeler.sup[alive], 0.4))
         peeler.peel_range(0, hi, lambda r: r >= 2)
-        state = peeler.state
     assert peeler.metrics.rounds == 2 and peeler.huc_recounts == 1
-    survivors = pdf[pdf["u"].isin(state["u"])]
+    alive_ids = peeler.cost.u_ids[alive]
+    survivors = pdf[pdf["u"].isin(alive_ids)]
     assert 0 < len(survivors) < len(pdf)
     want, _, _ = brute_force_vertex_butterflies(survivors)
-    assert dict(zip(state["u"], state["sup"])) == want
+    assert dict(zip(alive_ids, peeler.sup[alive])) == want
     assert peeler.metrics.wedges - wedges_before == min(_wedge_totals(survivors))

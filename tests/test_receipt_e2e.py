@@ -45,6 +45,25 @@ def test_partition_counts(spark, p):
     assert r.metrics.p_effective <= p + 1
 
 
+@pytest.mark.parametrize("name", ["paper", "rnd2"])
+def test_p_invariance(spark, name):
+    """Any P, from none to more than |U|, gives BUP's tips and puts every
+    vertex in exactly one subset; with P=0 every vertex is a leftover, in
+    the single subset 1 whose range spans all initial supports."""
+    pdf = SMALL_GRAPHS[name]()
+    edges = spark.createDataFrame(pdf).localCheckpoint()
+    ref, _ = bup(pdf)
+    n_u = pdf["u"].nunique()
+    for p in (0, 1, 3, n_u + 5):
+        r = receipt(edges, n_partitions=p)
+        assert_tips_equal(ref, r.tips, f"P={p}")
+        mem = r.membership
+        assert sorted(mem["u"]) == sorted(pdf["u"].unique()), f"P={p}"
+        if p == 0:
+            assert (mem["subset"] == 1).all()
+            assert r.ranges == [0, int(mem["init_sup"].max()) + 1]
+
+
 def test_v_side(spark):
     edges = datasets.load(spark, "it", "tiny")
     ref, _ = bup(edges, side="v")
