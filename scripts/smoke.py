@@ -65,6 +65,14 @@ assert m_ps.rounds == m_pb.rounds, (m_ps.rounds, m_pb.rounds)
 assert m_ps.wedges == m_pb.wedges, (m_ps.wedges, m_pb.wedges)
 print("ParB spark OK")
 
+
+def fd_skew(r) -> str:
+    """FD's per-subset task seconds and their max/mean."""
+    s = r.metrics.subset_seconds
+    skew = max(s) * len(s) / sum(s) if sum(s) else 0.0
+    return f"fd_s={[round(x, 4) for x in s]} max/mean={skew:.2f}"
+
+
 # RECEIPT all flag combos
 for huc in (False, True):
     for dgm in (False, True):
@@ -75,7 +83,7 @@ for huc in (False, True):
         print(
             f"RECEIPT huc={huc} dgm={dgm} OK; rho={r.metrics.rho} "
             f"wedges={r.metrics.total_wedges} p_eff={r.metrics.p_effective} "
-            f"recounts={r.metrics.huc_recounts}"
+            f"recounts={r.metrics.huc_recounts} {fd_skew(r)}"
         )
 
 # V side too
@@ -83,7 +91,7 @@ t_bupv, _ = bup(edges, side="v")
 rv = receipt(edges, n_partitions=3, side="v")
 mrg = t_bupv.merge(rv.tips, on="u", suffixes=("_bup", "_r"))
 assert (mrg["tip_bup"] == mrg["tip_r"]).all()
-print("RECEIPT V-side OK")
+print("RECEIPT V-side OK;", fd_skew(rv))
 
 # a dataset at tiny scale
 e2 = dataset_edges(spark, "it", "tiny").localCheckpoint()
@@ -91,6 +99,9 @@ t2, m2 = bup(e2)
 r2 = receipt(e2, n_partitions=4)
 mrg = t2.merge(r2.tips, on="u", suffixes=("_bup", "_r"))
 assert (mrg["tip_bup"] == mrg["tip_r"]).all(), mrg[mrg.tip_bup != mrg.tip_r].head()
-print("dataset tiny OK; rho:", r2.metrics.rho, "vs parb rounds:", parb_simulate(e2)[1].rounds)
+print(
+    "dataset tiny OK; rho:", r2.metrics.rho,
+    "vs parb rounds:", parb_simulate(e2)[1].rounds, "RECEIPT", fd_skew(r2),
+)
 print("ALL SMOKE OK")
 spark.stop()

@@ -8,8 +8,8 @@ users (DESIGN.md §2):
 * :func:`repro.core.bup.parb_simulate` — exact simulator of ParB
   (PARBUTTERFLY batch peeling): ``batch=True``, all minimum-support
   vertices per round; the round count is the paper's ρ.
-* :func:`repro.core.receipt_fd` group workers — sequential peeling of
-  one induced subgraph per Spark task (alg. 4 inner loop).
+* :func:`peel_subset` — RECEIPT FD's Spark task: sequential peeling of
+  one induced subgraph (alg. 4 inner loop).
 
 Wedge accounting matches the paper: peeling ``u`` traverses
 ``sum_{v in N_u} |N_v^struct|`` wedge steps, where ``N_v^struct`` is the
@@ -19,6 +19,7 @@ over all vertices is exactly ``sum_u sum_{v in N_u} d_v`` (Λ^peel).
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +127,19 @@ def peel(
             wedges_since = 0
             st.dgm_compactions += 1
     return tips, st
+
+
+def peel_subset(task: tuple, *, dgm: bool) -> tuple[np.ndarray, int, int, int, float]:
+    """RECEIPT FD's task: sequential peeling of one subset's induced
+    subgraph. ``task`` is ``(u, sup0, eu, ev)``: the members' ids,
+    ascending, their ``⋈_init``, and the induced edges in original ids.
+    Returns ``(tips, wedges, rounds, dgm_compactions, seconds)``."""
+    t0 = time.perf_counter()
+    u, sup0, eu, ev = task
+    v_ids, ev = np.unique(ev, return_inverse=True)
+    eu = np.searchsorted(u, eu)
+    tips, st = peel(len(u), len(v_ids), eu, ev, sup0, batch=False, dgm=dgm)
+    return tips, st.wedges, st.rounds, st.dgm_compactions, time.perf_counter() - t0
 
 
 def count_butterflies_np(

@@ -36,6 +36,8 @@ class ReceiptMetrics:
     dgm_compactions: int = 0
     subset_sizes: list[int] = field(default_factory=list)
     subset_wedges_induced: list[int] = field(default_factory=list)
+    #: each FD task's own peel time, by subset (FD's load skew)
+    subset_seconds: list[float] = field(default_factory=list)
 
     @property
     def rho(self) -> int:

@@ -46,12 +46,11 @@ def parb_spark(
 
     Returns ``(tips, metrics)``; ``tips`` covers only the vertices peeled
     within budget — ``metrics.completed`` says whether that is all of
-    them (rounds, wedges and partial tips are exact either way).
+    them (rounds, wedges and partial tips are exact either way). The
+    input is read as ``receipt()`` reads it (a null id raises ``ValueError``).
     """
-    oriented = bg.orient(edges, side).distinct().localCheckpoint()
-
     t0 = time.perf_counter()
-    mirror = oriented.toPandas()  # the driver's one copy of the edge list
+    oriented, mirror = bg.edge_set(edges, side)
     sup, bc = counting.support_init(oriented, mirror)
     t1 = time.perf_counter()
     peeler = BatchPeeler(oriented, mirror, sup, huc=False, dgm=False)

@@ -13,7 +13,6 @@ from pyspark.sql import SparkSession
 
 from repro.core.receipt import receipt
 from repro.experiments import datasets, report
-from repro.graph import bipartite as bg
 
 #: (label, huc, dgm) in the paper's legend order
 VARIANTS: list[tuple[str, bool, bool]] = [
@@ -33,11 +32,10 @@ def run_side(
 ) -> dict:
     """Wedges and time of all three variants on one dataset-side."""
     edges = datasets.load(spark, name, scale)
-    oriented = bg.orient(edges, side).localCheckpoint()
     out: dict = {"label": datasets.label(name, side)}
     tips_ref = None
     for vlabel, huc, dgm in VARIANTS:
-        r = receipt(oriented, n_partitions=n_partitions, huc=huc, dgm=dgm)
+        r = receipt(edges, n_partitions=n_partitions, side=side, huc=huc, dgm=dgm)
         if tips_ref is None:
             tips_ref = r.tips.sort_values("u").reset_index(drop=True)
         else:

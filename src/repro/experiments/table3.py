@@ -27,6 +27,7 @@ from repro.core.counting import per_vertex_butterflies
 from repro.core.parb import parb_spark
 from repro.core.receipt import receipt
 from repro.experiments import datasets, report
+from repro.graph import bipartite as bg
 from repro.oracle import assert_tips_equal
 
 import time
@@ -60,11 +61,7 @@ def run_side(
     """
     if parb_spark_enabled is None:
         parb_spark_enabled = parb_in_paper(name, side)
-    edges = datasets.load(spark, name, scale)
-    from repro.graph import bipartite as bg
-
-    oriented = bg.orient(edges, side).localCheckpoint()
-    mirror = oriented.toPandas()
+    oriented, mirror = bg.edge_set(datasets.load(spark, name, scale), side)
 
     t0 = time.perf_counter()
     bc = per_vertex_butterflies(oriented, mirror)
@@ -77,9 +74,7 @@ def run_side(
     t_parb: float | None = None
     if parb_spark_enabled:
         t_parb = float("inf")
-        tips_ps, m_ps = parb_spark(
-            oriented, time_budget_s=parb_budget_s
-        )
+        tips_ps, m_ps = parb_spark(oriented, time_budget_s=parb_budget_s)
         if m_ps.completed:
             assert_tips_equal(tips_bup, tips_ps, "parb_spark")
             assert m_ps.rounds == m_sim.rounds, (m_ps.rounds, m_sim.rounds)

@@ -13,6 +13,7 @@ want to peel ``V`` first call :func:`orient` to swap the columns.
 """
 from __future__ import annotations
 
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -32,6 +33,17 @@ def orient(edges: DataFrame, side: str) -> DataFrame:
             F.col(V_COL).alias(U_COL), F.col(U_COL).alias(V_COL)
         )
     raise ValueError(f"side must be 'u' or 'v', got {side!r}")
+
+
+def edge_set(edges: DataFrame, side: str) -> tuple[DataFrame, pd.DataFrame]:
+    """The edge set with the peel side in ``u``, as int64 Spark ``(u, v)``
+    and its pandas mirror: one collect, dedup and cast in pandas, one
+    ``createDataFrame``. Raises ``ValueError`` on a null id."""
+    mirror = orient(edges, side).toPandas()
+    if mirror.isna().to_numpy().any():
+        raise ValueError("null vertex id in the edge frame")
+    mirror = mirror.drop_duplicates(ignore_index=True).astype("int64")
+    return edges.sparkSession.createDataFrame(mirror, "u long, v long"), mirror
 
 
 def validate(edges: DataFrame) -> None:

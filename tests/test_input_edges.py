@@ -1,5 +1,7 @@
 """Every decomposition entry point treats its input as a set of edges:
-repeated rows change nothing, and an empty frame is an empty graph."""
+repeated rows change nothing, and an empty frame is an empty graph. The
+Spark entry points read the ``u`` and ``v`` columns by name, of any
+integer type, and reject a null id."""
 import pandas as pd
 import pytest
 
@@ -7,7 +9,7 @@ from repro.core.bup import bup
 from repro.core.parb import parb_spark
 from repro.core.receipt import receipt
 
-from .conftest import complete_bipartite_pdf
+from .conftest import assert_tips_equal, complete_bipartite_pdf, random_pdf
 
 
 def _receipt(edges):
@@ -47,3 +49,32 @@ def test_empty_edge_frame(spark, entry):
     assert (tips.dtypes[["u", "tip"]] == "int64").all(), tips.dtypes
     assert rho == 0
     assert wedges == 0
+
+
+SPARK_ENTRY_POINTS = {"receipt": _receipt, "parb_spark": _parb}
+
+#: the same graph in the shapes a caller may hand over: narrower ids, an
+#: extra column, the columns in the other order
+SCHEMAS = {
+    "int32": (["u", "v"], "u int, v int"),
+    "extra_column": (["u", "v", "w"], "u long, v long, w string"),
+    "swapped_columns": (["v", "u"], "v long, u long"),
+}
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+@pytest.mark.parametrize("entry", sorted(SPARK_ENTRY_POINTS))
+def test_edge_frame_schemas(spark, entry, schema):
+    pdf = random_pdf(12, 9, 40, seed=5)
+    cols, ddl = SCHEMAS[schema]
+    frame = pdf.assign(w="x")[cols]
+    tips, _, _ = SPARK_ENTRY_POINTS[entry](spark.createDataFrame(frame, ddl))
+    assert (tips.dtypes[["u", "tip"]] == "int64").all(), tips.dtypes
+    assert_tips_equal(bup(pdf)[0], tips, f"{entry}-{schema}")
+
+
+@pytest.mark.parametrize("entry", sorted(SPARK_ENTRY_POINTS))
+def test_null_id_raises(spark, entry):
+    edges = spark.createDataFrame([(0, 0), (1, None), (1, 1)], "u long, v long")
+    with pytest.raises(ValueError, match="null"):
+        SPARK_ENTRY_POINTS[entry](edges)

@@ -79,6 +79,16 @@ def test_subset_bookkeeping(spark, rnd_graph):
     assert r.metrics.total_seconds > 0
 
 
+def test_subset_seconds(spark, rnd_graph):
+    """Each FD task reports its own peel time, one per subset, within
+    FD's wall time."""
+    _, edges = rnd_graph
+    r = receipt(edges, n_partitions=3)
+    secs = r.metrics.subset_seconds
+    assert len(secs) == r.metrics.p_effective
+    assert all(0 <= s <= r.metrics.fd.seconds for s in secs), secs
+
+
 def test_baseline_metric_totals(rnd_graph):
     pdf, _ = rnd_graph
     _, met = bup(pdf)

@@ -12,7 +12,7 @@ import pytest
 from repro.core.bup import bup
 from repro.core.counting import support_init
 from repro.core.receipt_cd import receipt_cd
-from repro.core.receipt_fd import receipt_fd
+from repro.core.receipt_fd import fd_payloads, receipt_fd
 from repro.graph import bipartite as bg
 
 from .conftest import SMALL_GRAPHS, assert_tips_equal
@@ -30,7 +30,7 @@ def test_single_subset_equals_bup(spark):
     sup, _ = support_init(edges, pdf)
     membership = sup.rename(columns={"sup": "init_sup"})
     membership["subset"] = 1
-    fd = receipt_fd(edges, membership)
+    fd = receipt_fd(edges, pdf, membership)
     assert_tips_equal(bup(pdf)[0], fd.tips, "fd-single")
 
 
@@ -41,7 +41,7 @@ def test_after_cd_equals_bup(spark, name, dgm):
     edges = _oriented(spark, pdf)
     sup, _ = support_init(edges, pdf)
     cd = receipt_cd(edges, pdf, sup, 3)
-    fd = receipt_fd(edges, cd.membership, dgm=dgm)
+    fd = receipt_fd(edges, pdf, cd.membership, dgm=dgm)
     assert_tips_equal(bup(pdf)[0], fd.tips, f"{name}-dgm{dgm}")
 
 
@@ -50,7 +50,7 @@ def test_subset_stats_cover_membership(spark):
     edges = _oriented(spark, pdf)
     sup, _ = support_init(edges, pdf)
     cd = receipt_cd(edges, pdf, sup, 4)
-    fd = receipt_fd(edges, cd.membership)
+    fd = receipt_fd(edges, pdf, cd.membership)
     assert int(fd.subset_stats["sub_size"].sum()) == len(cd.membership)
     assert set(fd.subset_stats["subset"]) == set(cd.membership["subset"])
     assert fd.metrics.wedges == int(fd.subset_stats["sub_wedges"].sum())
@@ -64,7 +64,7 @@ def test_induced_subgraphs_traverse_fewer_wedges(spark):
     edges = _oriented(spark, pdf)
     sup, _ = support_init(edges, pdf)
     cd = receipt_cd(edges, pdf, sup, 4)
-    fd = receipt_fd(edges, cd.membership)
+    fd = receipt_fd(edges, pdf, cd.membership)
     _, m_bup = bup(pdf)
     assert fd.metrics.wedges <= m_bup.wedges
 
@@ -84,7 +84,7 @@ def test_fd_independent_of_membership_order(spark):
         "reversed": membership.iloc[::-1].reset_index(drop=True),
         "shuffled": membership.sample(frac=1, random_state=0, ignore_index=True),
     }
-    runs = {k: receipt_fd(edges, m) for k, m in orders.items()}
+    runs = {k: receipt_fd(edges, pdf, m) for k, m in orders.items()}
     want = bup(pdf)[0]
     for k, fd in runs.items():
         assert_tips_equal(want, fd.tips, k)
@@ -99,12 +99,12 @@ def test_fd_handles_edgeless_members(spark):
     membership = pd.DataFrame(
         {"u": sorted(pdf["u"].unique()), "init_sup": 0, "subset": 1}
     ).astype("int64")
-    # vertex 999 exists in no edge: exercise the empty-cogroup path
+    # vertex 999 exists in no edge: its subset's task peels no edge
     membership = pd.concat(
         [membership, pd.DataFrame({"u": [999], "init_sup": [7], "subset": [2]})],
         ignore_index=True,
     )
-    fd = receipt_fd(edges, membership)
+    fd = receipt_fd(edges, pdf, membership)
     assert int(fd.tips.set_index("u").loc[999, "tip"]) == 7
 
 
@@ -145,3 +145,65 @@ def test_fd_without_repro_on_executor_path(tmp_path):
         timeout=600,
     )
     assert run.returncode == 0, run.stderr[-3000:]
+
+
+def _cd_membership(spark, name, p):
+    pdf = SMALL_GRAPHS[name]()
+    edges = _oriented(spark, pdf)
+    sup, _ = support_init(edges, pdf)
+    return pdf, edges, receipt_cd(edges, pdf, sup, p).membership
+
+
+def test_fd_one_job_one_task_per_subset(spark):
+    """FD is one Spark job whose one stage runs a task per subset."""
+    pdf, edges, membership = _cd_membership(spark, "rnd2", 4)
+    k = membership["subset"].nunique()
+    assert k >= 3, k
+    sc = spark.sparkContext
+    group = "test_fd_one_job_one_task_per_subset"
+    sc.setJobGroup(group, "FD")
+    try:
+        fd = receipt_fd(edges, pdf, membership)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    tracker = sc.statusTracker()
+    jobs = tracker.getJobIdsForGroup(group)
+    assert len(jobs) == 1, jobs
+    stages = tracker.getJobInfo(jobs[0]).stageIds
+    assert len(stages) == 1, stages
+    assert tracker.getStageInfo(stages[0]).numTasks == k
+    assert_tips_equal(bup(pdf)[0], fd.tips, "fd-one-job")
+
+
+def test_fd_payloads_cover_members_in_work_order(spark):
+    """Every member is in exactly one payload, under its own subset with
+    its own ⋈_init, every edge in its ``u``'s payload, and the payloads
+    come heaviest first by induced peel work ``Σ_{(u,v)∈E_i} d_v^{(i)}``,
+    recomputed here edge by edge."""
+    pdf, _, membership = _cd_membership(spark, "rnd2", 4)
+    payloads = fd_payloads(pdf, membership)
+    rows = [
+        (s, u, sup)
+        for s, (us, sups, _, _) in payloads
+        for u, sup in zip(us.tolist(), sups.tolist())
+    ]
+    want = membership[["subset", "u", "init_sup"]].itertuples(index=False, name=None)
+    assert sorted(rows) == sorted(want)
+    works, edges = [], []
+    for _, (us, _, eu, ev) in payloads:
+        assert list(us) == sorted(us)
+        assert set(eu) <= set(us)
+        edges += list(zip(eu.tolist(), ev.tolist()))
+        d = {v: list(ev).count(v) for v in set(ev)}
+        works.append(sum(d[v] for v in ev))
+    assert sorted(edges) == sorted(pdf.itertuples(index=False, name=None))
+    assert len(works) >= 3 and works == sorted(works, reverse=True), works
+
+
+def test_fd_rejects_edge_outside_membership(spark):
+    pdf = SMALL_GRAPHS["paper"]()
+    edges = _oriented(spark, pdf)
+    membership = pd.DataFrame({"u": [0, 1], "init_sup": 0, "subset": 1})
+    with pytest.raises(ValueError, match="outside the membership"):
+        receipt_fd(edges, pdf, membership)
