@@ -24,6 +24,7 @@ from repro.graph.generators import dataset_edges, random_bipartite
 from repro.core import counting
 from repro.core.bup import bup, bup_bruteforce, parb_simulate, edges_to_numpy
 from repro.core.kernel import count_butterflies_np
+from repro.core.peel_round import peel_structure
 from repro.core.receipt import receipt
 from repro.core.parb import parb_spark
 
@@ -41,6 +42,14 @@ np_u = pd.DataFrame({"u": u_ids, "bcnt": bu}).sort_values("u").reset_index(drop=
 assert (su["bcnt"].to_numpy() == np_u["bcnt"].to_numpy()).all(), "u counts mismatch"
 assert int(su["bcnt"].sum()) == 2 * total
 print("counting OK, total butterflies:", total, "wedges:", bc.wedges, w)
+
+# both roll-ups on the structure the pipeline counts on
+with peel_structure(edges) as structure:
+    for side in ("u", "v"):
+        on_cache = counting.per_vertex_butterflies(structure, edges.toPandas(), side)
+        got = on_cache.u_counts.sort_values("u")["bcnt"].to_numpy()
+        assert (got == np_u["bcnt"].to_numpy()).all(), f"{side}-side counts on the cache"
+print("counting on the u-partitioned cache OK, both sides")
 
 # BUP vs brute force
 t_bup, m_bup = bup(edges)

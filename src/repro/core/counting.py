@@ -7,27 +7,35 @@ side, count wedges per same-side vertex pair (``c``), then
 * opposite-side contribution: each common neighbor of the pair gets
   ``c - 1`` per wedge it centers.
 
-In dataflow form the wedge enumeration is a self-join of the edge list
-on the center vertex, and a contribution is one aggregation — the
-"message passing for butterfly counts" of the reproduction hint. The
-enumeration side is chosen as the one with fewer wedges (Sanei-Mehri et
-al., paper §2.1). RECEIPT reads only the peel side's (``u``) counts: CD's
-initial supports and HUC's re-counts. So only the roll-up that yields
-them runs — the same-side one when ``u`` pairs are enumerated, the
-opposite-side one when ``v`` pairs are — and its result is collected to
-the driver once, inside this call.
+The enumeration side is chosen as the one with fewer wedges (Sanei-Mehri
+et al., paper §2.1). RECEIPT reads only the peel side's (``u``) counts:
+CD's initial supports and HUC's re-counts. So only the contribution that
+yields them runs, and its result is collected to the driver once, inside
+this call:
+
+* ``u`` pairs enumerated: ``⋈_u = Σ_{u'≠u} C(c_{u,u'}, 2)`` is exactly
+  the decrement a peel round (:func:`repro.core.peel_round.batch_peel_round`)
+  computes when the peeled set ``S`` is every vertex of the structure. So
+  counting is that round, with every edge as a peeled edge ``(up, v)``,
+  shipped from the mirror as a round ships its peeled set's edges. On the
+  peel loop's structure, hash-partitioned by ``u`` and cached, its plan
+  has no shuffle, like a round's. The join on ``v`` emits each pair of a
+  wedge in both orders, ``2·Σ_v C(d_v, 2)`` rows.
+* ``v`` pairs enumerated: a self-join of the edge list on the center
+  ``u``, a count per ``(v, v')`` pair as a window over the wedge rows,
+  and a roll-up of ``c - 1`` per wedge to its center.
 
 The caller passes the driver's mirror of the edge list (pandas ``(u, v)``,
 the same edges as the Spark frame), as the paper keeps its per-vertex
 arrays in shared memory beside the wedge traversal. The side choice
 comes from the mirror's degrees, counted with NumPy, and the zero-fill
 for ``u`` vertices without butterflies is a pandas ``reindex`` over the
-mirror's ``u`` ids. Spark runs only the self-join roll-up.
+mirror's ``u`` ids. Spark runs only the join and its aggregations.
 
-Wedge accounting: the number of *enumerated* wedges is
-``sum_center C(d_center, 2)`` for the chosen side (computed from the
-mirror's degrees — identical to the self-join row count for a
-deduplicated edge list). Table 3's Λ^pvBcnt column reports this value.
+Wedge accounting: the number of enumerated wedges is
+``Σ_center C(d_center, 2)`` for the chosen side, computed from the
+mirror's degrees; each wedge is counted once, though the ``u``-side join
+emits it twice. Table 3's Λ^pvBcnt column reports this value.
 """
 from __future__ import annotations
 
@@ -35,8 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
+
+from repro.core.peel_round import batch_peel_round
 
 
 @dataclass
@@ -67,31 +77,29 @@ def per_vertex_butterflies(
     wv = _wedges_centered(mirror["u"].to_numpy())
     if enumerate_side == "auto":
         enumerate_side = "u" if wu <= wv else "v"
-    if enumerate_side == "u":
-        end_col, cen_col, wedges = "u", "v", wu
-    elif enumerate_side == "v":
-        end_col, cen_col, wedges = "v", "u", wv
+    if enumerate_side == "u":  # ⋈_u: a peel round with S = every u
+        wedges = wu
+        # every edge is peeled, shipped from the mirror like a round's
+        peeled = edges.sparkSession.createDataFrame(
+            mirror[["u", "v"]], "up long, v long"
+        )
+        counts = batch_peel_round(edges, peeled).withColumnRenamed("d", "bcnt")
+    elif enumerate_side == "v":  # u is a center: c - 1 per wedge
+        wedges = wv
+        e1 = edges.select(F.col("v").alias("p1"), F.col("u").alias("c0"))
+        e2 = edges.select(F.col("v").alias("p2"), F.col("u").alias("c0"))
+        # c per wedge row by a window, not a join back to the pair counts,
+        # so the plan scans the edges once per side of the self-join
+        c = F.count("*").over(Window.partitionBy("p1", "p2"))
+        counts = (
+            e1.join(e2, "c0")
+            .where(F.col("p1") < F.col("p2"))
+            .select("c0", (c - 1).alias("b"))
+            .groupBy(F.col("c0").alias("u"))
+            .agg(F.sum("b").alias("bcnt"))
+        )
     else:
         raise ValueError(enumerate_side)
-
-    e1 = edges.select(F.col(end_col).alias("p1"), F.col(cen_col).alias("c0"))
-    e2 = edges.select(F.col(end_col).alias("p2"), F.col(cen_col).alias("c0"))
-    wedge_rows = e1.join(e2, "c0").where(F.col("p1") < F.col("p2"))
-    pairs = wedge_rows.groupBy("p1", "p2").agg(F.count("*").alias("c"))
-    if enumerate_side == "u":  # u is an endpoint: C(c, 2) per pair
-        pairs = pairs.withColumn("bf", F.expr("c * (c - 1) div 2"))
-        counts = (
-            pairs.select(F.col("p1").alias("u"), "bf")
-            .unionAll(pairs.select(F.col("p2").alias("u"), "bf"))
-            .groupBy("u")
-            .agg(F.sum("bf").alias("bcnt"))
-        )
-    else:  # u is a center: c - 1 per wedge
-        counts = (
-            wedge_rows.join(pairs, ["p1", "p2"])
-            .groupBy(F.col("c0").alias("u"))
-            .agg(F.sum(F.col("c") - 1).alias("bcnt"))
-        )
     u_ids = pd.Index(pd.unique(mirror["u"]), name="u")
     u_counts = (
         counts.toPandas()

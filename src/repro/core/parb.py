@@ -10,7 +10,10 @@ Supports are floored at that minimum and frozen when a vertex is peeled,
 so the tips are the peeler's support array over its peeled vertices,
 ``sup[~alive]`` (indexed by ``u`` code, like all its driver state). The
 round count is the paper's ρ; a round is one batched update join, which
-takes two Spark jobs (see :mod:`repro.core.receipt_cd`).
+takes two Spark jobs (see :mod:`repro.core.receipt_cd`). The count and
+every round read one structure, cached on entry as ``receipt()`` caches
+it; the count fills it, and it is released on return, also when the
+budget stops the loop.
 
 Because ρ for ParB is typically 100-1000x RECEIPT's (the paper's whole
 point), a full Spark run can exceed any reasonable local budget — mirror
@@ -29,8 +32,9 @@ from pyspark.sql import DataFrame
 
 from repro.core import counting
 from repro.core.metrics import BaselineMetrics
-# not called here: perfbench wraps ``parb.batch_peel_round`` by name
-from repro.core.peel_round import batch_peel_round  # noqa: F401
+# batch_peel_round is not called here: perfbench wraps
+# ``parb.batch_peel_round`` by name
+from repro.core.peel_round import batch_peel_round, peel_structure  # noqa: F401
 from repro.core.receipt_cd import MAX_ITERS, BatchPeeler
 from repro.graph import bipartite as bg
 
@@ -49,23 +53,21 @@ def parb_spark(
     them (rounds, wedges and partial tips are exact either way). The
     input is read as ``receipt()`` reads it (a null id raises ``ValueError``).
     """
-    t0 = time.perf_counter()
-    oriented, mirror = bg.edge_set(edges, side)
-    sup, bc = counting.support_init(oriented, mirror)
-    t1 = time.perf_counter()
-    peeler = BatchPeeler(oriented, mirror, sup, huc=False, dgm=False)
-
-    start = time.perf_counter()
-
     def out_of_budget(rounds: int) -> bool:
         return rounds >= max_rounds or (
             time_budget_s is not None
             and time.perf_counter() - start > time_budget_s
         )
 
-    alive = peeler.cost.alive
-    finished = True
-    with peeler:
+    t0 = time.perf_counter()
+    oriented, mirror = bg.edge_set(edges, side)
+    with peel_structure(oriented) as structure:
+        sup, bc = counting.support_init(structure, mirror)
+        t1 = time.perf_counter()
+        peeler = BatchPeeler(structure, mirror, sup, huc=False, dgm=False)
+        start = time.perf_counter()
+        alive = peeler.cost.alive
+        finished = True
         while finished and alive.any():
             m = int(peeler.sup[alive].min())
             finished = peeler.peel_range(m, m + 1, out_of_budget)

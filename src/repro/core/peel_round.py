@@ -12,14 +12,17 @@ round of the dataflow formulation). Applying them — the floor
 ``max(θ, sup − d)`` and dropping vertices that are no longer in the
 state — is O(n) and happens on the driver, which owns the support state.
 
-The plan needs no shuffle. The peel loop caches its structure once,
-hash-partitioned by ``u``, and the peeled set's own edges ``(up, v)``
+The plan needs no shuffle. ``receipt()`` and ``parb_spark()`` cache the
+structure once, on entry, hash-partitioned by ``u``
+(:func:`peel_structure`), and the peeled set's own edges ``(up, v)``
 come from the driver's mirror of the edge list, not from Spark. They are
 broadcast, so the join on ``v`` is a broadcast hash join that keeps the
 structure's partitioning, and both aggregations, keyed by ``(up, u)``
 and by ``u``, run inside the partitions. DGM's compaction is a broadcast
 semi-join filter of the cached structure, so it keeps the partitioning
-too and costs no job of its own.
+too and costs no job of its own. Counting the ``u`` side
+(:mod:`repro.core.counting`) is this round with every vertex peeled, on
+the same cache.
 
 Pair wedge counts between two U vertices never change while U is peeled
 (only U-side vertices leave, and a wedge's center is in V), so counting
@@ -29,8 +32,25 @@ vertices peeled earlier (and pairs within ``S``), which the driver drops.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+
+
+@contextmanager
+def peel_structure(edges: DataFrame) -> Iterator[DataFrame]:
+    """``edges`` hash-partitioned by ``u`` into ``defaultParallelism``
+    partitions and persisted: the structure that counting, every peel
+    round and every HUC re-count read. The first job that reads it fills
+    it; leaving the block releases it, on return and on error."""
+    n = edges.sparkSession.sparkContext.defaultParallelism
+    structure = edges.repartition(n, "u").persist()
+    try:
+        yield structure
+    finally:
+        structure.unpersist()
 
 
 def batch_peel_round(edges_cur: DataFrame, peeled_edges: DataFrame) -> DataFrame:

@@ -10,6 +10,10 @@ combination.
 The input is collected once (:func:`repro.graph.bipartite.edge_set`): its
 pandas *mirror* on the driver, deduplicated, int64 and free of nulls, is
 what counting, CD and FD read for every graph fact the driver can compute.
+The Spark side is cached once, too: the edge set hash-partitioned by
+``u`` (:func:`repro.core.peel_round.peel_structure`), which the initial
+count fills and every CD round and HUC re-count reads. It is released
+when CD ends, or when counting or CD raises; FD reads only the mirror.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from pyspark.sql import DataFrame
 
 from repro.core import counting
 from repro.core.metrics import PhaseMetrics, ReceiptMetrics
+from repro.core.peel_round import peel_structure
 from repro.core.receipt_cd import receipt_cd
 from repro.core.receipt_fd import receipt_fd
 from repro.graph import bipartite as bg
@@ -55,12 +60,12 @@ def receipt(
 
     t0 = time.perf_counter()
     oriented, mirror = bg.edge_set(edges, side)
-    sup, bc = counting.support_init(oriented, mirror)
-    met.count = PhaseMetrics(
-        seconds=time.perf_counter() - t0, wedges=bc.wedges, rounds=0
-    )
-
-    cd = receipt_cd(oriented, mirror, sup, n_partitions, huc=huc, dgm=dgm)
+    with peel_structure(oriented) as structure:
+        sup, bc = counting.support_init(structure, mirror)
+        met.count = PhaseMetrics(
+            seconds=time.perf_counter() - t0, wedges=bc.wedges, rounds=0
+        )
+        cd = receipt_cd(structure, mirror, sup, n_partitions, huc=huc, dgm=dgm)
     met.cd = cd.metrics
     met.huc_recounts = cd.huc_recounts
     met.dgm_compactions = cd.dgm_compactions

@@ -21,14 +21,17 @@ driver's state. That state is NumPy arrays over one factorization of the
 mirror's ``u`` ids (the supports, the alive mask, ``findHi``'s weights,
 CD's output), so original ids appear only where data crosses to or from
 Spark: the shipped edges, a compaction's keep-ids and the collected
-decrements or re-counts. The structure is cached once, hash-partitioned
-by ``u``, so the round's plan has no shuffle and runs in two Spark jobs.
+decrements or re-counts. The structure is the cache ``receipt()`` built
+on entry, hash-partitioned by ``u``, which the initial count already
+filled, so the round's plan has no shuffle and runs in two Spark jobs.
 DGM's compaction is a lazy broadcast filter of that cache, so it adds no
 job. The mirror is the edge list the caller collected once on entry (the
 same one counting read). A HUC re-count compacts the same way, then
-counts the surviving edges, taken from the mirror and shipped with one
-``createDataFrame``. ρ counts iterations, so it is independent of how
-many jobs each one takes.
+counts on the compacted structure itself: a ``u``-side count is a peel
+round of every surviving vertex, in three jobs (the broadcasts of the
+keep-ids and of the surviving edges, shipped from the mirror, and the
+join). ρ counts
+iterations, so it is independent of how many jobs each one takes.
 
 :class:`BatchPeeler` is the one peel loop: CD peels ranges from
 ``findHi``, and ParB (:mod:`repro.core.parb`) peels ranges one support
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +69,7 @@ from pyspark.sql import DataFrame
 
 from repro.core import counting
 from repro.core.metrics import PhaseMetrics
-from repro.core.peel_round import batch_peel_round, compact_edges
+from repro.core.peel_round import batch_peel_round, compact_edges, peel_structure
 
 #: hard safety bound on peel iterations (a correct CD run needs far fewer)
 MAX_ITERS = 100_000
@@ -179,11 +183,12 @@ class BatchPeeler:
     ``sup`` is indexed by the cost model's ``u`` codes, like its
     ``alive`` mask. A vertex's support is frozen when it is peeled, so
     ``sup[~cost.alive]`` holds the value each peeled vertex left with.
-    ``base`` is the edge list hash-partitioned by ``u`` and cached (the
-    first round fills it), so a round's plan needs no shuffle; the
-    structure ``edges`` is ``base`` or a filter of it. ``mirror`` is the
-    same edge list as pandas ``(u, v)``. Use it as a context manager:
-    leaving the block releases the cache.
+    ``base`` is the structure the caller cached, hash-partitioned by
+    ``u`` (:func:`repro.core.peel_round.peel_structure`), so a round's
+    plan needs no shuffle; the current structure ``edges`` is ``base`` or
+    a filter of it. ``mirror`` is the same edge list as pandas ``(u, v)``.
+    Use it as a context manager: given a frame that is not cached, it
+    builds the structure itself, and leaving the block releases it.
     """
 
     def __init__(
@@ -196,8 +201,11 @@ class BatchPeeler:
         dgm: bool,
     ):
         self.spark = edges.sparkSession
-        n = self.spark.sparkContext.defaultParallelism
-        self.base = edges.repartition(n, "u").persist()
+        # a cached frame is the caller's structure, for the caller to release
+        self._cache = ExitStack()
+        self.base = (
+            edges if edges.is_cached else self._cache.enter_context(peel_structure(edges))
+        )
         self.edges = self.base  # current structure, compacted by DGM and HUC
         self.cost = _CostModel(mirror)
         self.sup = self.cost.to_codes(sup["u"], sup["sup"])
@@ -210,7 +218,7 @@ class BatchPeeler:
         return self
 
     def __exit__(self, *exc) -> None:
-        self.base.unpersist()
+        self._cache.close()
 
     def peel_range(self, lo: int, hi: int, stop: Callable[[int], bool]) -> bool:
         """Peel every vertex whose support is in ``[lo, hi)``, round by
@@ -261,12 +269,11 @@ class BatchPeeler:
             self.dgm_compactions += 1
 
     def _recount(self, lo: int) -> None:
-        """HUC: re-count butterflies on the surviving graph instead."""
+        """HUC: re-count butterflies on the surviving graph instead, on
+        the compacted structure; the mirror's surviving edges give the
+        side choice and the zero-fill."""
         self._compact()
-        # counted on the surviving edges shipped from the mirror: on the
-        # u-partitioned filter of the cache, counting plans more jobs
-        mirror = self.cost.struct_edges()
-        bc = counting.per_vertex_butterflies(self.spark.createDataFrame(mirror), mirror)
+        bc = counting.per_vertex_butterflies(self.edges, self.cost.struct_edges())
         new_sup = self.cost.to_codes(bc.u_counts["u"], bc.u_counts["bcnt"])
         alive = self.cost.alive
         self.sup[alive] = np.maximum(lo, new_sup[alive])
@@ -309,8 +316,10 @@ def receipt_cd(
 ) -> CDResult:
     """Run coarse decomposition of the ``u`` side of ``edges``.
 
-    ``edges`` must already be oriented and deduplicated; ``mirror`` is
-    the same edge list as pandas ``(u, v)``. ``sup`` is the initial
+    ``edges`` must already be oriented and deduplicated; ``receipt()``
+    passes the structure it cached on entry, which the count filled (see
+    :class:`BatchPeeler` for a frame not cached). ``mirror`` is the same
+    edge list as pandas ``(u, v)``. ``sup`` is the initial
     support, pandas ``(u, sup)`` from counting (one row per peel-side
     vertex, in any order).
     """

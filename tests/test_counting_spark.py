@@ -6,6 +6,7 @@ import pytest
 from repro.core.bup import edges_to_numpy
 from repro.core.counting import per_vertex_butterflies, support_init
 from repro.core.kernel import count_butterflies_np
+from repro.core.peel_round import peel_structure
 from repro.graph import bipartite as bg
 from repro.oracle import assert_equivalent
 
@@ -117,9 +118,8 @@ def test_rejects_bad_side(spark):
 @pytest.mark.parametrize("name", ["paper", "rnd2"])
 def test_count_job_budget(spark, name):
     """The driver's mirror gives the side totals and the zero-fill, so a
-    count runs only the self-join roll-up and its collect: at most five
-    Spark jobs through either roll-up, on the checkpointed frame the
-    pipeline counts on."""
+    count runs only its join, its aggregations and their collect: at most
+    five Spark jobs through either roll-up, on a checkpointed frame."""
     pdf = SMALL_GRAPHS[name]()
     edges = spark.createDataFrame(pdf).localCheckpoint()
     sc = spark.sparkContext
@@ -133,6 +133,46 @@ def test_count_job_budget(spark, name):
         jobs = sc.statusTracker().getJobIdsForGroup(group)
         assert_equivalent(bc.u_counts, U_COUNT_SQL, edges=pdf)
         assert 1 <= len(jobs) <= 5, (enumerate_side, jobs)
+
+
+def _count_in_group(sc, group: str, edges, pdf, side: str):
+    """A count under a job group: the counts and the group's jobs."""
+    sc.setJobGroup(group, "one count")
+    try:
+        bc = per_vertex_butterflies(edges, pdf, enumerate_side=side)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return bc, sc.statusTracker().getJobIdsForGroup(group)
+
+
+@pytest.mark.parametrize("name", ["star", "paper", "rnd2"])
+def test_counts_on_peel_structure(spark, name):
+    """Both roll-ups on the structure the pipeline counts on (the edge
+    list hash-partitioned by ``u`` and persisted): the ``u`` side as a
+    peel round of every vertex, the ``v`` side as its self-join. Every
+    ``u`` of ``star`` and the pendant ``u`` of ``paper`` are in no
+    butterfly and are zero-filled."""
+    pdf = SMALL_GRAPHS[name]()
+    with peel_structure(spark.createDataFrame(pdf)) as structure:
+        for side in ("u", "v"):
+            bc = per_vertex_butterflies(structure, pdf, enumerate_side=side)
+            assert_equivalent(bc.u_counts, U_COUNT_SQL, edges=pdf)
+            if name != "rnd2":
+                assert (bc.u_counts["bcnt"] == 0).any()
+
+
+@pytest.mark.parametrize("name", ["paper", "rnd2"])
+def test_u_count_job_budget_on_filled_cache(spark, name):
+    """On the filled structure a ``u``-side count is a peel round: the
+    broadcast of the shipped edges and the join, at most two Spark jobs."""
+    pdf = SMALL_GRAPHS[name]()
+    sc = spark.sparkContext
+    with peel_structure(spark.createDataFrame(pdf)) as structure:
+        group = f"test_u_count_job_budget_on_filled_cache-{name}"
+        _count_in_group(sc, group + "-fill", structure, pdf, "u")
+        bc, jobs = _count_in_group(sc, group, structure, pdf, "u")
+    assert_equivalent(bc.u_counts, U_COUNT_SQL, edges=pdf)
+    assert 1 <= len(jobs) <= 2, jobs
 
 
 def test_support_init_covers_all_u(small_graph):

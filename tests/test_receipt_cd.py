@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.bup import bup
 from repro.core.counting import support_init
+from repro.core.peel_round import peel_structure
 from repro.core.receipt_cd import BatchPeeler, receipt_cd
 from repro.graph import bipartite as bg
 
@@ -177,3 +178,35 @@ def test_recount_matches_brute_force_on_survivors(spark, dgm):
     want, _, _ = brute_force_vertex_butterflies(survivors)
     assert dict(zip(alive_ids, peeler.sup[alive])) == want
     assert peeler.metrics.wedges - wedges_before == min(_wedge_totals(survivors))
+
+
+def test_recount_on_compacted_structure_job_budget(spark):
+    """A HUC re-count counts on the compacted structure, read from the
+    cache the initial count filled: at most three Spark jobs (the
+    broadcasts of the keep-ids and of the shipped edges, and the join),
+    and the supports it sets are the survivors' butterflies. The graph
+    has fewer wedges with endpoints in ``U``, before and after the peel,
+    so both counts enumerate ``U`` pairs."""
+    pdf = random_pdf(20, 40, 160, seed=6, alpha_u=0.6, alpha_v=0.4)
+    sc = spark.sparkContext
+    group = "test_recount_on_compacted_structure_job_budget"
+    with peel_structure(spark.createDataFrame(pdf)) as structure:
+        sup, _ = support_init(structure, pdf)
+        with BatchPeeler(structure, pdf, sup, huc=True, dgm=False) as peeler:
+            peeler.cost.recount_cost = lambda: -1
+            sc.setJobGroup(group, "one re-count round")
+            try:
+                peeler.peel_range(0, int(sup["sup"].quantile(0.3)), lambda r: r >= 1)
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+    jobs = sc.statusTracker().getJobIdsForGroup(group)
+    assert peeler.metrics.rounds == 1 and peeler.huc_recounts == 1
+    assert 1 <= len(jobs) <= 3, jobs
+    alive = peeler.cost.alive
+    alive_ids = peeler.cost.u_ids[alive]
+    survivors = pdf[pdf["u"].isin(alive_ids)]
+    assert 0 < len(survivors) < len(pdf)
+    wu, wv = _wedge_totals(survivors)
+    assert wu <= wv
+    want, _, _ = brute_force_vertex_butterflies(survivors)
+    assert dict(zip(alive_ids, peeler.sup[alive])) == want

@@ -6,6 +6,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import counting
+from repro.core import receipt as receipt_module
 from repro.core.bup import bup
 from repro.core.parb import parb_spark
 from repro.core.receipt import receipt
@@ -143,4 +145,35 @@ def test_peel_cache_released(spark):
         with BatchPeeler(edges, pdf, sup, huc=False, dgm=False) as peeler:
             assert not cache.isEmpty()
             peeler.peel_range(0, 1, fail)
+    assert cache.isEmpty()
+
+
+def test_entry_cache_released_on_error_and_budget(spark, monkeypatch):
+    """``receipt()`` and ``parb_spark()`` own the cached structure: the
+    count and CD read it, and it is released when CD raises inside
+    ``receipt()`` and when ParB stops on its round budget."""
+    cache = spark._jsparkSession.sharedState().cacheManager()
+    spark.catalog.clearCache()
+    edges = spark.createDataFrame(SMALL_GRAPHS["rnd1"]())
+    counted, cd_read = [], []
+    support_init = counting.support_init
+
+    def spy_count(structure, mirror):
+        counted.append(structure.is_cached and not cache.isEmpty())
+        return support_init(structure, mirror)
+
+    def failing_cd(structure, *args, **kwargs):
+        cd_read.append(structure.is_cached and not cache.isEmpty())
+        raise RuntimeError("cd failed")
+
+    monkeypatch.setattr(counting, "support_init", spy_count)
+    monkeypatch.setattr(receipt_module, "receipt_cd", failing_cd)
+    with pytest.raises(RuntimeError, match="cd failed"):
+        receipt(edges, n_partitions=3)
+    assert counted == [True] and cd_read == [True]
+    assert cache.isEmpty()
+
+    _, met = parb_spark(edges, max_rounds=2)
+    assert not met.completed and met.rounds == 2
+    assert counted == [True, True]
     assert cache.isEmpty()
