@@ -76,10 +76,12 @@ print("ParB spark OK")
 
 
 def fd_skew(r) -> str:
-    """FD's per-subset task seconds and their max/mean."""
+    """FD's per-subset task seconds, their max/mean, and FD's fixed cost
+    per decomposition: its time beyond the slowest task's own peel."""
     s = r.metrics.subset_seconds
     skew = max(s) * len(s) / sum(s) if sum(s) else 0.0
-    return f"fd_s={[round(x, 4) for x in s]} max/mean={skew:.2f}"
+    fixed = r.metrics.fd.seconds - max(s, default=0.0)
+    return f"fd_s={[round(x, 4) for x in s]} max/mean={skew:.2f} fd_fixed_s={fixed:.3f}"
 
 
 # RECEIPT all flag combos

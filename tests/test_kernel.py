@@ -1,5 +1,11 @@
 """Tests for the NumPy CSR peel kernel and NumPy butterfly counting —
 the sequential substrate everything else is validated against."""
+import importlib
+import sys
+import zipfile
+import zipimport
+from importlib.machinery import FileFinder
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -8,6 +14,7 @@ from repro.core.bup import edges_to_numpy
 from repro.core.kernel import (
     build_csr,
     count_butterflies_np,
+    drop_zip_importers,
     gather,
     peel,
 )
@@ -178,3 +185,36 @@ def test_peel_empty_graph_vertex_only():
     )
     assert (tips == 0).all()
     assert st.rounds == 1
+
+
+def test_drop_zip_importers_keeps_zip_imports_working(tmp_path):
+    """FD's task drops every cached zip importer, so the next task's
+    ``importlib.invalidate_caches()`` re-reads no archive; directory
+    finders stay cached, and a module not yet imported from a zip on the
+    path still imports from it."""
+    archive = tmp_path / "fd_probe.zip"
+    with zipfile.ZipFile(archive, "w") as z:
+        z.writestr("fd_probe_first.py", "X = 1\n")
+        z.writestr("fd_probe_second.py", "Y = 2\n")
+    names = ("fd_probe_first", "fd_probe_second")
+    saved_path = list(sys.path)
+    saved_cache = dict(sys.path_importer_cache)
+    sys.path.insert(0, str(archive))
+    try:
+        assert importlib.import_module("fd_probe_first").X == 1
+        cache = sys.path_importer_cache
+        assert isinstance(cache[str(archive)], zipimport.zipimporter)
+        finders = {p: f for p, f in cache.items() if isinstance(f, FileFinder)}
+        assert finders
+        drop_zip_importers()
+        assert not [p for p, f in cache.items() if isinstance(f, zipimport.zipimporter)]
+        assert all(cache.get(p) is f for p, f in finders.items())
+        second = importlib.import_module("fd_probe_second")
+        assert second.Y == 2
+        assert isinstance(second.__loader__, zipimport.zipimporter)
+    finally:
+        sys.path[:] = saved_path
+        sys.path_importer_cache.clear()
+        sys.path_importer_cache.update(saved_cache)
+        for name in names:
+            sys.modules.pop(name, None)

@@ -1,5 +1,6 @@
 """Tests for fine-grained decomposition (alg. 4): independent per-subset
 peeling must reproduce sequential BUP exactly (theorem 2)."""
+import json
 import os
 import subprocess
 import sys
@@ -145,6 +146,62 @@ def test_fd_without_repro_on_executor_path(tmp_path):
         timeout=600,
     )
     assert run.returncode == 0, run.stderr[-3000:]
+
+
+def test_fd_task_leaves_no_zip_importer_on_its_worker(tmp_path):
+    """An FD task empties its Python worker's cached zip importers, so the
+    next task on that reused worker re-reads no archive in PySpark's
+    per-task ``importlib.invalidate_caches()``. One ``local[1]`` worker
+    runs a probe, then ``receipt()``'s one FD task on K3,2, then two more
+    probes: all on one pid, with zip importers only before FD."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = textwrap.dedent(
+        f"""
+        import json
+        import sys
+        sys.path.insert(0, {str(src)!r})
+        from repro.core.receipt import receipt
+        from repro.experiments.session import get_session
+
+        def probe(_):
+            import os, sys, zipimport
+            cache = sys.path_importer_cache.values()
+            return os.getpid(), sum(isinstance(f, zipimport.zipimporter) for f in cache)
+
+        spark = get_session("fd-zip-importers")
+        sc = spark.sparkContext
+        run = lambda: sc.parallelize([0], 1).map(probe).collect()[0]
+        before = run()
+        edges = spark.createDataFrame(
+            [(u, v) for u in range(3) for v in range(2)], "u long, v long"
+        )
+        tips = receipt(edges, n_partitions=2).tips
+        after, again = run(), run()
+        spark.stop()
+        assert (tips["tip"] == 2).all(), tips
+        print(json.dumps([before, after, again]))
+        """
+    )
+    env = dict(
+        os.environ,
+        SPARK_MASTER="local[1]",
+        SPARK_SHUFFLE_PARTITIONS="2",
+        PYSPARK_SUBMIT_ARGS="--driver-memory 1g pyspark-shell",
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert run.returncode == 0, run.stderr[-3000:]
+    (pid0, zips0), (pid1, zips1), (pid2, _) = json.loads(run.stdout.splitlines()[-1])
+    assert pid0 == pid1 == pid2, "the probes and FD did not share one worker"
+    if not zips0:
+        pytest.skip("this PySpark's worker imports from no zip archive")
+    assert zips1 == 0, zips1
 
 
 def _cd_membership(spark, name, p):
